@@ -1,10 +1,10 @@
 //! `repro profile`: the host-side profiling driver.
 //!
 //! Turns on the profiling spine ([`sdpm_obs::prof`]) and drives the
-//! full pipeline once over one kernel, in five labeled legs:
+//! full pipeline once over one kernel, in six labeled legs:
 //!
 //! 1. `profile.per_event` — the seven-scheme suite through
-//!    [`Session::run`] (walk generator, instrumentation, per-event
+//!    [`Session::run`] (trace generator, instrumentation, per-event
 //!    engine), plus one CMDRPM run with the Chrome recorder attached so
 //!    the exported timeline carries sim-time tracks next to the host
 //!    spans.
@@ -18,9 +18,12 @@
 //!    re-openable generator source (small kernels fall back to the
 //!    sequential loop; the fallback is itself a profiling result).
 //! 5. `profile.verify` — the static verifier over the base trace.
+//! 6. `profile.oracle` — the walk oracle regenerates the base trace
+//!    iteration by iteration; the leg panics if it differs from the
+//!    analytic generator's.
 //!
 //! Every span below the legs comes from the instrumented crates
-//! themselves (`trace.gen.walk`, `sim.simulate`, `verify.run`, ...), so
+//! themselves (`trace.gen`, `sim.simulate`, `verify.run`, ...), so
 //! the tree is the ground truth of what the pipeline actually executed,
 //! and the per-stage counters (`gen.events`, `encode.bytes`,
 //! `sim.records`, ...) give throughput once divided by the span times.
@@ -36,10 +39,10 @@ use sdpm_obs::prof;
 use sdpm_obs::{ChromeTraceRecorder, Profile};
 use sdpm_sim::{simulate, simulate_sharded, Policy};
 use sdpm_trace::codec;
-use sdpm_trace::{compress, GenSource};
+use sdpm_trace::{compress, generate_walk, GenSource};
 use sdpm_workloads::Benchmark;
 
-/// Runs the five profiling legs over `bench` and returns the collected
+/// Runs the six profiling legs over `bench` and returns the collected
 /// profile plus the Chrome recorder that watched the CMDRPM run (attach
 /// the profile to it and write it out for the merged timeline).
 ///
@@ -96,6 +99,12 @@ pub fn run_profile(bench: &Benchmark) -> (Profile, ChromeTraceRecorder) {
     {
         let _leg = prof::span("profile.verify");
         let _ = sdpm_verify::verify_run(&base, &cfg.params, cfg.overhead_secs, None, None);
+    }
+
+    {
+        let _leg = prof::span("profile.oracle");
+        let walked = generate_walk(&bench.program, pool, cfg.gen);
+        assert!(walked == base, "walk oracle disagrees with the generator");
     }
 
     prof::disable();

@@ -2,10 +2,11 @@
 //!
 //! Runs the full seven-scheme suite over every Table 2 kernel through
 //! the two trace representations — the per-event path
-//! ([`Session::run`]: walk generator + per-event engine loop) and the
-//! run-compressed fast path ([`Session::run_compressed`]: analytic
-//! generator + O(#runs) engine loop) — and reports per-kernel suite wall
-//! time and peak RSS for both, plus generator-only timings, as the
+//! ([`Session::run`]: per-event trace + per-event engine loop) and the
+//! run-compressed fast path ([`Session::run_compressed`]: run-compressed
+//! trace + O(#runs) engine loop) — and reports per-kernel suite wall
+//! time and peak RSS for both, plus generator-only timings (the analytic
+//! generator against the walk oracle), as the
 //! machine-readable `BENCH_runlen.json` record. Every pair of reports is
 //! cross-checked bitwise; `reports_identical` hard-fails the CI job when
 //! false.
@@ -22,7 +23,7 @@ use crate::config_for;
 use crate::streambench::{measure_phase_peak, PathCost};
 use sdpm_core::{Scheme, Session};
 use sdpm_sim::SimReport;
-use sdpm_trace::{generate, generate_runs};
+use sdpm_trace::{generate_runs, generate_walk};
 use sdpm_workloads::Benchmark;
 use std::time::Instant;
 
@@ -37,7 +38,7 @@ pub struct KernelCost {
     pub per_event: PathCost,
     /// Seven-scheme suite through [`Session::run_compressed`].
     pub run_compressed: PathCost,
-    /// Walk generator alone ([`generate`]), best-of-`REPS` seconds.
+    /// Walk oracle alone ([`generate_walk`]), best-of-`REPS` seconds.
     pub gen_walk_secs: f64,
     /// Analytic generator alone ([`generate_runs`]), best-of-`REPS`.
     pub gen_analytic_secs: f64,
@@ -134,7 +135,7 @@ pub fn run_kernel_bench(bench: &Benchmark) -> KernelCost {
         gen_analytic = gen_analytic.min(t0.elapsed().as_secs_f64());
         records = rt.events.len() as u64;
         let t1 = Instant::now();
-        let tr = generate(&bench.program, pool, cfg.gen);
+        let tr = generate_walk(&bench.program, pool, cfg.gen);
         gen_walk = gen_walk.min(t1.elapsed().as_secs_f64());
         events = tr.events.len() as u64;
         debug_assert_eq!(rt.event_len(), events, "lowered lengths must agree");

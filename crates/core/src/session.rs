@@ -98,16 +98,9 @@ impl<'a> Session<'a> {
     fn base_trace_obs(&mut self, rec: Obs<'_>) -> &Trace {
         if self.base.is_none() {
             let _sp = crate::prof::span("session.generate");
-            let trace = if let Some(rt) = &self.base_runs {
-                // The analytic run form is already cached; lowering it is
-                // bit-exact with the walk generator and O(#events), so a
-                // fast-path session never walks the program a second time.
-                rt.lower()
-            } else {
-                phase(rec, "dap-construction", || {
-                    generate(self.program, self.pool, self.cfg.gen)
-                })
-            };
+            let trace = phase(rec, "dap-construction", || {
+                generate(self.program, self.pool, self.cfg.gen)
+            });
             trace.validate().expect("generated trace must be valid");
             self.generations += 1;
             self.base = Some(trace);
@@ -123,10 +116,10 @@ impl<'a> Session<'a> {
         self.run_generations
     }
 
-    /// The run-compressed base trace, produced by the analytic generator
-    /// ([`sdpm_trace::generate_runs`]) on first use. Lowering it yields
-    /// the per-event [`Session::base_trace`] bit for bit, so it is not
-    /// re-validated here.
+    /// The run-compressed base trace ([`sdpm_trace::generate_runs`]),
+    /// produced on first use. Lowering it yields the per-event
+    /// [`Session::base_trace`] bit for bit, so it is not re-validated
+    /// here.
     pub fn base_runs(&mut self) -> &RunTrace {
         if self.base_runs.is_none() {
             let _sp = crate::prof::span("session.generate_runs");
@@ -145,11 +138,6 @@ impl<'a> Session<'a> {
             CmMode::Drpm => 1,
         };
         if self.cm_runs[idx].is_none() {
-            // Ensure the analytic base form exists first: directive
-            // insertion needs the per-event base trace, and with the run
-            // form cached it is recovered by lowering instead of a second
-            // program walk.
-            let _ = self.base_runs();
             let rt = compress(&self.instrumented(mode).trace);
             self.cm_runs[idx] = Some(rt);
         }
@@ -180,18 +168,39 @@ impl<'a> Session<'a> {
         self.cm[idx].as_ref().expect("just cached")
     }
 
+    /// The trace `mode` runs on: instrumented for a CM mode, the base
+    /// trace for `None`.
+    fn trace_obs(&mut self, mode: Option<CmMode>, rec: Obs<'_>) -> &Trace {
+        match mode {
+            None => self.base_trace_obs(rec),
+            Some(mode) => &self.instrumented_obs(mode, rec).trace,
+        }
+    }
+
     /// Runs one scheme against the session's cached traces. The report's
     /// `policy` field carries the scheme label.
     #[must_use]
     pub fn run(&mut self, scheme: Scheme) -> SimReport {
-        self.run_full(scheme, None).report
+        self.run_obs(scheme, None)
     }
 
     /// Like [`Session::run`], but keeps the pipeline's intermediate
     /// artifacts so they can be checked after the fact.
     #[must_use]
     pub fn run_with_artifacts(&mut self, scheme: Scheme) -> SchemeArtifacts {
-        self.run_full(scheme, None)
+        let report = self.run_obs(scheme, None);
+        let (mode, _) = scheme_plan(scheme, self.cfg);
+        let insertion = mode.map(|mode| self.instrumented(mode).clone());
+        let trace = match &insertion {
+            Some(out) => out.trace.clone(),
+            None => self.base_trace().clone(),
+        };
+        SchemeArtifacts {
+            scheme,
+            trace,
+            insertion,
+            report,
+        }
     }
 
     /// Like [`Session::run`], but streams pipeline phase spans and the
@@ -200,7 +209,7 @@ impl<'a> Session<'a> {
     #[cfg(feature = "obs")]
     #[must_use]
     pub fn run_with_recorder(&mut self, scheme: Scheme, rec: &dyn sdpm_obs::Recorder) -> SimReport {
-        self.run_full(scheme, Some(rec)).report
+        self.run_obs(scheme, Some(rec))
     }
 
     /// Runs one scheme through the O(#runs) fast path: the session's
@@ -212,37 +221,12 @@ impl<'a> Session<'a> {
         let cfg = self.cfg;
         let pool = self.pool;
         let _sp = crate::prof::span("session.simulate_runs");
-        let mut report = match scheme {
-            Scheme::Base => {
-                sdpm_sim::simulate_runs(self.base_runs(), &cfg.params, pool, &Policy::Base)
-            }
-            Scheme::Tpm => {
-                sdpm_sim::simulate_runs(self.base_runs(), &cfg.params, pool, &Policy::Tpm(cfg.tpm))
-            }
-            Scheme::ITpm => {
-                sdpm_sim::simulate_runs(self.base_runs(), &cfg.params, pool, &Policy::IdealTpm)
-            }
-            Scheme::Drpm => sdpm_sim::simulate_runs(
-                self.base_runs(),
-                &cfg.params,
-                pool,
-                &Policy::Drpm(cfg.drpm),
-            ),
-            Scheme::IDrpm => {
-                sdpm_sim::simulate_runs(self.base_runs(), &cfg.params, pool, &Policy::IdealDrpm)
-            }
-            Scheme::CmTpm | Scheme::CmDrpm => {
-                let mode = if scheme == Scheme::CmTpm {
-                    CmMode::Tpm
-                } else {
-                    CmMode::Drpm
-                };
-                let policy = Policy::Directive(DirectiveConfig {
-                    overhead_secs: cfg.overhead_secs,
-                });
-                sdpm_sim::simulate_runs(self.instrumented_runs(mode), &cfg.params, pool, &policy)
-            }
+        let (mode, policy) = scheme_plan(scheme, cfg);
+        let runs = match mode {
+            None => self.base_runs(),
+            Some(mode) => self.instrumented_runs(mode),
         };
+        let mut report = sdpm_sim::simulate_runs(runs, &cfg.params, pool, &policy);
         report.policy = scheme.label().to_string();
         report
     }
@@ -260,123 +244,41 @@ impl<'a> Session<'a> {
     ) -> Result<SimReport, SimError> {
         let cfg = self.cfg;
         let pool = self.pool;
-        let mut report = match scheme {
-            Scheme::Base => {
-                let t = self.base_trace();
-                sdpm_sim::try_simulate_source_faulted(t, &cfg.params, pool, &Policy::Base, faults)?
-            }
-            Scheme::Tpm => {
-                let t = self.base_trace();
-                sdpm_sim::try_simulate_source_faulted(
-                    t,
-                    &cfg.params,
-                    pool,
-                    &Policy::Tpm(cfg.tpm),
-                    faults,
-                )?
-            }
-            Scheme::ITpm => {
-                let t = self.base_trace();
-                sdpm_sim::try_simulate_source_faulted(
-                    t,
-                    &cfg.params,
-                    pool,
-                    &Policy::IdealTpm,
-                    faults,
-                )?
-            }
-            Scheme::Drpm => {
-                let t = self.base_trace();
-                sdpm_sim::try_simulate_source_faulted(
-                    t,
-                    &cfg.params,
-                    pool,
-                    &Policy::Drpm(cfg.drpm),
-                    faults,
-                )?
-            }
-            Scheme::IDrpm => {
-                let t = self.base_trace();
-                sdpm_sim::try_simulate_source_faulted(
-                    t,
-                    &cfg.params,
-                    pool,
-                    &Policy::IdealDrpm,
-                    faults,
-                )?
-            }
-            Scheme::CmTpm | Scheme::CmDrpm => {
-                let mode = if scheme == Scheme::CmTpm {
-                    CmMode::Tpm
-                } else {
-                    CmMode::Drpm
-                };
-                let policy = Policy::Directive(DirectiveConfig {
-                    overhead_secs: cfg.overhead_secs,
-                });
-                let t = &self.instrumented(mode).trace;
-                sdpm_sim::try_simulate_source_faulted(t, &cfg.params, pool, &policy, faults)?
-            }
-        };
+        let (mode, policy) = scheme_plan(scheme, cfg);
+        let t = self.trace_obs(mode, None);
+        let mut report =
+            sdpm_sim::try_simulate_source_faulted(t, &cfg.params, pool, &policy, faults)?;
         report.policy = scheme.label().to_string();
         Ok(report)
     }
 
-    pub(crate) fn run_full(&mut self, scheme: Scheme, rec: Obs<'_>) -> SchemeArtifacts {
+    /// Simulates `scheme` on the cached trace it runs on. Clones nothing:
+    /// only [`Session::run_with_artifacts`] copies traces out.
+    fn run_obs(&mut self, scheme: Scheme, rec: Obs<'_>) -> SimReport {
         let cfg = self.cfg;
         let pool = self.pool;
-        let (trace, insertion, mut report) = match scheme {
-            Scheme::Base => {
-                let t = self.base_trace_obs(rec);
-                let r = sim(t, cfg, pool, &Policy::Base, rec);
-                (t.clone(), None, r)
-            }
-            Scheme::Tpm => {
-                let t = self.base_trace_obs(rec);
-                let r = sim(t, cfg, pool, &Policy::Tpm(cfg.tpm), rec);
-                (t.clone(), None, r)
-            }
-            Scheme::ITpm => {
-                let t = self.base_trace_obs(rec);
-                let r = sim(t, cfg, pool, &Policy::IdealTpm, rec);
-                (t.clone(), None, r)
-            }
-            Scheme::Drpm => {
-                let t = self.base_trace_obs(rec);
-                let r = sim(t, cfg, pool, &Policy::Drpm(cfg.drpm), rec);
-                (t.clone(), None, r)
-            }
-            Scheme::IDrpm => {
-                let t = self.base_trace_obs(rec);
-                let r = sim(t, cfg, pool, &Policy::IdealDrpm, rec);
-                (t.clone(), None, r)
-            }
-            Scheme::CmTpm | Scheme::CmDrpm => {
-                let mode = if scheme == Scheme::CmTpm {
-                    CmMode::Tpm
-                } else {
-                    CmMode::Drpm
-                };
-                let out = self.instrumented_obs(mode, rec);
-                let r = sim(
-                    &out.trace,
-                    cfg,
-                    pool,
-                    &Policy::Directive(DirectiveConfig {
-                        overhead_secs: cfg.overhead_secs,
-                    }),
-                    rec,
-                );
-                (out.trace.clone(), Some(out.clone()), r)
-            }
-        };
+        let (mode, policy) = scheme_plan(scheme, cfg);
+        let t = self.trace_obs(mode, rec);
+        let mut report = sim(t, cfg, pool, &policy, rec);
         report.policy = scheme.label().to_string();
-        SchemeArtifacts {
-            scheme,
-            trace,
-            insertion,
-            report,
-        }
+        report
+    }
+}
+
+/// The simulator policy `scheme` runs under, and the instrumentation
+/// mode of the trace it runs on (`None`: the base trace).
+fn scheme_plan(scheme: Scheme, cfg: &PipelineConfig) -> (Option<CmMode>, Policy) {
+    let directive = Policy::Directive(DirectiveConfig {
+        overhead_secs: cfg.overhead_secs,
+    });
+    match scheme {
+        Scheme::Base => (None, Policy::Base),
+        Scheme::Tpm => (None, Policy::Tpm(cfg.tpm)),
+        Scheme::ITpm => (None, Policy::IdealTpm),
+        Scheme::Drpm => (None, Policy::Drpm(cfg.drpm)),
+        Scheme::IDrpm => (None, Policy::IdealDrpm),
+        Scheme::CmTpm => (Some(CmMode::Tpm), directive),
+        Scheme::CmDrpm => (Some(CmMode::Drpm), directive),
     }
 }
 

@@ -10,6 +10,8 @@
 //! * [`program`] — whole programs (arrays + nests + clock), with
 //!   validation,
 //! * [`walk`] — efficient iteration-space walking (odometer order),
+//! * [`flat`] — closed forms of affine expressions in the flat iteration
+//!   index, whole-nest or segmented (the odometer-carry test),
 //! * [`depend`] — statement dependence graph, strongly-connected
 //!   components, and loop-distribution (fission) legality,
 //! * [`conform`] — access-vs-storage conformance (innermost stride
@@ -59,6 +61,7 @@
 pub mod conform;
 pub mod depend;
 pub mod expr;
+pub mod flat;
 pub mod nest;
 pub mod pattern;
 pub mod pretty;
@@ -68,6 +71,7 @@ pub mod walk;
 pub use conform::{innermost_stride, ref_conforms};
 pub use depend::{fission_groups, is_fissionable, DependenceGraph};
 pub use expr::AffineExpr;
+pub use flat::{flat_form, segmented_form, segmented_forms, FlatForm};
 pub use nest::{ArrayRef, LoopDim, LoopNest, RefKind, Statement};
 pub use pattern::{disk_activity, ActivityMap, IterInterval, NestActivity};
 pub use pretty::{render_nest, render_program};

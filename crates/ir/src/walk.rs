@@ -1,6 +1,7 @@
 //! Iteration-space walking.
 //!
-//! Analyses and the trace generator walk nests iteration by iteration.
+//! Analyses and the trace generator's walk oracle visit nests iteration
+//! by iteration.
 //! [`walk_nest`] runs an odometer over the induction variables so each
 //! step is O(1) amortized (no div/mod per iteration), which keeps walking
 //! tens of millions of iterations well under a second in release builds.

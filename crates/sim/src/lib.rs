@@ -242,7 +242,7 @@ pub fn try_simulate_sharded(
 
 /// Simulates a run-compressed source — a materialized
 /// [`sdpm_trace::RunTrace`], the analytic generator
-/// ([`sdpm_trace::RunGenSource`]), or any other re-openable run stream —
+/// ([`sdpm_trace::GenSource`]), or any other re-openable run stream —
 /// through the O(#runs) engine loop ([`Engine::run_runs`]). The report
 /// is bit-identical to [`simulate_source`] on the lowered per-event
 /// equivalent; only the [`SimReport::sim_path`] metadata differs. Oracle

@@ -8,8 +8,17 @@
 //! unless the data is captured in the buffer cache" and no prefetching is
 //! employed. Chunk-granular requests are split along stripe boundaries
 //! into per-disk requests.
+//!
+//! There is one generator: the analytic one of [`crate::rungen`], which
+//! jumps from cache miss to cache miss in closed form. [`generate`] and
+//! [`GenSource`] drain it. [`generate_walk`] defines the semantics
+//! operationally — it visits every iteration and evaluates every
+//! reference — and serves as the test oracle the analytic generator is
+//! checked against, byte for byte.
 
 use crate::event::{AppEvent, IoRequest, ReqKind};
+use crate::run::{CompressStream, RunSource, RunStream};
+use crate::rungen::RunGenStream;
 use crate::stream::{collect, EventSource, EventStream, DEFAULT_CHUNK_EVENTS};
 use crate::trace::Trace;
 use sdpm_ir::conform::linearized_ref;
@@ -75,11 +84,11 @@ pub(crate) fn linrefs_of(program: &Program, ni: usize) -> Vec<LinRef> {
 /// Iterations walked per internal step. The walk itself is O(1) per
 /// iteration; this only bounds how often the stream checks whether the
 /// chunk target has been reached.
-pub(crate) const ITERS_PER_STEP: u64 = 65_536;
+const ITERS_PER_STEP: u64 = 65_536;
 
 /// Flushes the compute span accumulated in `[pending_start, flat)` and
-/// restarts accumulation at `flat`. Shared by the per-iteration walk and
-/// the analytic generator ([`crate::rungen`]) so both emit the identical
+/// restarts accumulation at `flat`. Shared by the analytic generator
+/// ([`crate::rungen`]) and the walk oracle so both emit the identical
 /// event — same fields, same float expression.
 pub(crate) fn flush_compute(
     buf: &mut Vec<AppEvent>,
@@ -134,13 +143,11 @@ pub(crate) fn emit_chunk_fetch(
     }
 }
 
-/// The generator as a lazy [`EventStream`]: events are produced by
-/// resuming the iteration-space walk chunk by chunk, so the trace is
-/// never fully resident. The event sequence is byte-identical to what
-/// [`generate`] materializes — compute runs are flushed on cache misses
-/// and nest boundaries, never on chunk boundaries, so chunking is
-/// invisible in the output.
-pub struct GenStream<'a> {
+/// The walk oracle as a lazy [`EventStream`]: events are produced by
+/// resuming the iteration-space walk chunk by chunk. Compute runs are
+/// flushed on cache misses and nest boundaries, never on chunk
+/// boundaries, so chunking is invisible in the output.
+struct WalkStream<'a> {
     program: &'a Program,
     pool: DiskPool,
     config: TraceGenConfig,
@@ -157,22 +164,16 @@ pub struct GenStream<'a> {
     linrefs: Vec<LinRef>,
     buf: Vec<AppEvent>,
     target: usize,
-    /// Events delivered so far; reported to `learn` on exhaustion.
-    counted: u64,
-    /// Where a [`GenSource`] learns its event count from the first fully
-    /// drained pass (its [`EventSource::size_hint`]).
-    learn: Option<&'a std::cell::Cell<Option<u64>>>,
 }
 
-impl<'a> GenStream<'a> {
-    /// Opens a lazy generator stream over `program`, emitting chunks of
-    /// roughly [`DEFAULT_CHUNK_EVENTS`] events.
+impl<'a> WalkStream<'a> {
+    /// Opens a walk over `program`, emitting chunks of roughly
+    /// [`DEFAULT_CHUNK_EVENTS`] events.
     ///
     /// # Panics
     /// If the program fails [`Program::validate`] or the I/O chunk size
     /// is zero.
-    #[must_use]
-    pub fn new(program: &'a Program, pool: DiskPool, config: TraceGenConfig) -> Self {
+    fn new(program: &'a Program, pool: DiskPool, config: TraceGenConfig) -> Self {
         assert!(config.io_chunk_bytes > 0, "chunk size must be positive");
         if let Err(e) = program.validate(pool) {
             panic!("trace generation requires a valid program: {e}");
@@ -182,7 +183,7 @@ impl<'a> GenStream<'a> {
         } else {
             linrefs_of(program, 0)
         };
-        GenStream {
+        WalkStream {
             program,
             pool,
             config,
@@ -194,8 +195,6 @@ impl<'a> GenStream<'a> {
             linrefs,
             buf: Vec::new(),
             target: DEFAULT_CHUNK_EVENTS,
-            counted: 0,
-            learn: None,
         }
     }
 
@@ -206,7 +205,7 @@ impl<'a> GenStream<'a> {
         let ni = self.ni;
         let pos = self.pos;
         let iter_secs = self.program.iter_secs(ni);
-        let GenStream {
+        let WalkStream {
             program,
             pool,
             config,
@@ -256,7 +255,7 @@ impl<'a> GenStream<'a> {
     }
 }
 
-impl EventStream for GenStream<'_> {
+impl EventStream for WalkStream<'_> {
     fn name(&self) -> &str {
         &self.program.name
     }
@@ -271,23 +270,20 @@ impl EventStream for GenStream<'_> {
             self.step();
         }
         if self.buf.is_empty() {
-            if let Some(cell) = self.learn {
-                cell.set(Some(self.counted));
-            }
             None
         } else {
-            self.counted += self.buf.len() as u64;
             crate::prof::add("gen.events", self.buf.len() as u64);
-            crate::prof::add("gen.chunks", 1);
             Some(&self.buf)
         }
     }
 }
 
-/// A re-openable generator source for `(program, pool, config)`: each
-/// [`EventSource::open`] resumes the walk from iteration zero, which is
-/// what lets the simulator's oracle policies run the workload twice
-/// without ever materializing it.
+/// A re-openable generator source for `(program, pool, config)`. Each
+/// open restarts generation from iteration zero, which is what lets the
+/// simulator's oracle policies run the workload twice without ever
+/// materializing it. Serves both interfaces: as an [`EventSource`] it
+/// streams per-event output; as a [`RunSource`] it run-compresses that
+/// output on the fly, which is what the O(#runs) simulator consumes.
 pub struct GenSource<'a> {
     program: &'a Program,
     pool: DiskPool,
@@ -319,7 +315,7 @@ impl<'a> GenSource<'a> {
 
 impl EventSource for GenSource<'_> {
     fn open(&self) -> Box<dyn EventStream + '_> {
-        let mut s = GenStream::new(self.program, self.pool, self.config);
+        let mut s = RunGenStream::new(self.program, self.pool, self.config);
         s.learn = Some(&self.learned);
         Box::new(s)
     }
@@ -329,17 +325,39 @@ impl EventSource for GenSource<'_> {
     }
 }
 
-/// Generates the I/O trace of `program` against `pool` by draining a
-/// [`GenStream`] into a materialized [`Trace`].
+impl RunSource for GenSource<'_> {
+    fn open_runs(&self) -> Box<dyn RunStream + '_> {
+        Box::new(CompressStream::new(RunGenStream::new(
+            self.program,
+            self.pool,
+            self.config,
+        )))
+    }
+}
+
+/// Generates the I/O trace of `program` against `pool` by draining the
+/// analytic generator ([`RunGenStream`]) into a materialized [`Trace`].
 ///
 /// # Panics
 /// If the program fails [`Program::validate`] or the chunk size is zero.
 #[must_use]
 pub fn generate(program: &Program, pool: DiskPool, config: TraceGenConfig) -> Trace {
-    let _sp = crate::prof::span("trace.gen.walk");
-    let trace = collect(&mut GenStream::new(program, pool, config));
+    let _sp = crate::prof::span("trace.gen");
+    let trace = collect(&mut RunGenStream::new(program, pool, config));
     debug_assert_eq!(trace.validate(), Ok(()));
     trace
+}
+
+/// The walk oracle: generates the same trace as [`generate`] by visiting
+/// every iteration of every nest and evaluating every reference.
+/// O(iterations); tests and oracle checks only.
+///
+/// # Panics
+/// If the program fails [`Program::validate`] or the chunk size is zero.
+#[must_use]
+pub fn generate_walk(program: &Program, pool: DiskPool, config: TraceGenConfig) -> Trace {
+    let _sp = crate::prof::span("trace.gen.walk");
+    collect(&mut WalkStream::new(program, pool, config))
 }
 
 #[cfg(test)]
@@ -347,6 +365,13 @@ mod tests {
     use super::*;
     use sdpm_ir::{AffineExpr, ArrayRef, LoopDim, LoopNest, Statement};
     use sdpm_layout::{ArrayFile, DiskId, StorageOrder, Striping};
+
+    /// [`generate`]'s trace, checked against the walk oracle.
+    fn generated(p: &Program, pool: DiskPool, config: TraceGenConfig) -> Trace {
+        let t = generate(p, pool, config);
+        assert_eq!(t, generate_walk(p, pool, config), "analytic != walk");
+        t
+    }
 
     /// 1-D scan of a 64 KiB array striped 16 KiB over 4 disks.
     fn scan_program() -> (Program, DiskPool) {
@@ -382,7 +407,7 @@ mod tests {
     #[test]
     fn sequential_scan_fetches_each_chunk_once() {
         let (p, pool) = scan_program();
-        let t = generate(
+        let t = generated(
             &p,
             pool,
             TraceGenConfig {
@@ -400,7 +425,7 @@ mod tests {
     #[test]
     fn chunk_spanning_stripes_splits_per_disk() {
         let (p, pool) = scan_program();
-        let t = generate(
+        let t = generated(
             &p,
             pool,
             TraceGenConfig {
@@ -417,7 +442,7 @@ mod tests {
     #[test]
     fn second_chunk_on_same_disk_is_sequential() {
         let (p, pool) = scan_program();
-        let t = generate(
+        let t = generated(
             &p,
             pool,
             TraceGenConfig {
@@ -439,7 +464,7 @@ mod tests {
     #[test]
     fn compute_time_totals_match_nest_cycles() {
         let (p, pool) = scan_program();
-        let t = generate(&p, pool, TraceGenConfig::default());
+        let t = generated(&p, pool, TraceGenConfig::default());
         let s = t.stats();
         let expected = 8192.0 * 750.0 / Program::PAPER_CLOCK_HZ;
         assert!(
@@ -452,7 +477,7 @@ mod tests {
     #[test]
     fn io_interleaves_with_compute_in_iteration_order() {
         let (p, pool) = scan_program();
-        let t = generate(&p, pool, TraceGenConfig::default());
+        let t = generated(&p, pool, TraceGenConfig::default());
         // First event must be the I/O at iteration 0 (no compute before the
         // first miss), and iterations must be monotone across the stream.
         assert!(matches!(t.events[0], AppEvent::Io(_)));
@@ -477,7 +502,7 @@ mod tests {
         // the same element; should add no requests.
         let extra = ArrayRef::read(0, vec![AffineExpr::var(1, 0)]);
         p.nests[0].stmts[0].refs.push(extra);
-        let t = generate(
+        let t = generated(
             &p,
             pool,
             TraceGenConfig {
@@ -492,7 +517,7 @@ mod tests {
     fn write_refs_produce_write_requests() {
         let (mut p, pool) = scan_program();
         p.nests[0].stmts[0].refs[0].kind = RefKind::Write;
-        let t = generate(&p, pool, TraceGenConfig::default());
+        let t = generated(&p, pool, TraceGenConfig::default());
         assert!(t.requests().all(|r| r.kind == ReqKind::Write));
     }
 
@@ -501,7 +526,7 @@ mod tests {
         let (mut p, pool) = scan_program();
         let nest2 = p.nests[0].clone();
         p.nests.push(nest2);
-        let t = generate(
+        let t = generated(
             &p,
             pool,
             TraceGenConfig {
@@ -517,7 +542,7 @@ mod tests {
     #[test]
     fn trace_validates() {
         let (p, pool) = scan_program();
-        let t = generate(&p, pool, TraceGenConfig::default());
+        let t = generated(&p, pool, TraceGenConfig::default());
         assert_eq!(t.validate(), Ok(()));
     }
 
@@ -531,12 +556,14 @@ mod tests {
             io_chunk_bytes: 8 * 1024,
             detect_sequential: true,
         };
-        let materialized = generate(&p, pool, cfg);
-        // Tiny chunk target to force many chunk boundaries.
-        let mut s = GenStream::new(&p, pool, cfg);
+        let materialized = generated(&p, pool, cfg);
+        // Tiny chunk targets to force many chunk boundaries.
+        let mut s = RunGenStream::new(&p, pool, cfg);
         s.target = 3;
-        let streamed = collect(&mut s);
-        assert_eq!(streamed, materialized);
+        assert_eq!(collect(&mut s), materialized);
+        let mut w = WalkStream::new(&p, pool, cfg);
+        w.target = 3;
+        assert_eq!(collect(&mut w), materialized);
     }
 
     #[test]
@@ -546,6 +573,6 @@ mod tests {
         let a = collect(&mut *src.open());
         let b = collect(&mut *src.open());
         assert_eq!(a, b);
-        assert_eq!(a, generate(&p, pool, TraceGenConfig::default()));
+        assert_eq!(a, generated(&p, pool, TraceGenConfig::default()));
     }
 }

@@ -10,9 +10,10 @@
 //!   (`spin_down` / `spin_up` / `set_RPM`) the compiler inserts,
 //! * [`trace`] — whole traces with provenance, statistics, and the paper's
 //!   nominal 4-tuple view,
-//! * [`gen`] — the trace generator: walks an IR program, filters element
-//!   accesses through a one-chunk-per-array buffer cache, and emits
-//!   block-level striped requests,
+//! * [`gen`] — trace generation: filters an IR program's element
+//!   accesses through a one-chunk-per-array buffer cache and emits
+//!   block-level striped requests; [`rungen`] computes them in closed
+//!   form, miss to miss, and a per-iteration walk is kept as its oracle,
 //! * [`codec`] — a compact binary encoding for storing/replaying traces,
 //!   with incremental [`StreamEncoder`]/[`DecodeStream`] endpoints,
 //! * [`stream`] — pull-based chunked [`EventStream`]s over all of the
@@ -52,13 +53,13 @@ pub mod trace;
 
 pub use codec::{DecodeRunStream, DecodeStream, RunStreamEncoder, StreamEncoder};
 pub use event::{AppEvent, IoRequest, PowerAction, ReqKind};
-pub use gen::{generate, GenSource, GenStream, TraceGenConfig};
+pub use gen::{generate, generate_walk, GenSource, TraceGenConfig};
 pub use mix::{merge_tenants, merge_tenants_chunked, tenant_timeline, TenantEvent, TenantStream};
 pub use run::{
     collect_runs, compress, compress_stream, CompressStream, IoTemplate, LowerStream, REvent, Run,
     RunSource, RunStream, RunTrace, RunTraceStream, MAX_ROTATION,
 };
-pub use rungen::{generate_runs, RunGenSource, RunGenStream};
+pub use rungen::{generate_runs, RunGenStream};
 pub use stream::{
     collect, demux, Demuxed, EventSource, EventStream, TimedEvent, TraceStream,
     DEFAULT_CHUNK_EVENTS,

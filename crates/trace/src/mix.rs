@@ -78,7 +78,12 @@ pub fn tenant_timeline(
         "load factor must be finite and positive, got {load_factor}"
     );
     let mut t = 0.0f64;
-    let mut events = Vec::new();
+    let timed = trace
+        .events
+        .iter()
+        .filter(|e| !matches!(e, AppEvent::Compute { .. }))
+        .count();
+    let mut events = Vec::with_capacity(timed);
     for (seq, event) in trace.events.iter().enumerate() {
         match event {
             AppEvent::Compute { secs, .. } => t += secs,
@@ -144,7 +149,10 @@ pub fn merge_tenants(streams: &[TenantStream]) -> Vec<TenantEvent> {
             event: e.event,
         }));
     }
-    out.sort_by_key(|e| merge_key(e.at_secs, e.tenant, e.seq));
+    // Keys are unique (tenant ids are disjoint, `seq` strictly
+    // increases within a stream), so the in-place unstable sort yields
+    // the stable order without a scratch buffer.
+    out.sort_unstable_by_key(|e| merge_key(e.at_secs, e.tenant, e.seq));
     out
 }
 

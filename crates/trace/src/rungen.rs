@@ -1,50 +1,98 @@
 //! Analytic trace generation: closed-form chunk-boundary crossings.
 //!
-//! The per-iteration walk in [`crate::gen`] evaluates every affine
-//! reference at every iteration — O(iterations) work to discover a
-//! request count that is orders of magnitude smaller (one fetch per
-//! chunk). For the common case the paper's compiler handles — affine
-//! subscripts whose linearized element index is itself affine in the
-//! *flat* iteration number — the next cache miss is the solution of a
-//! one-variable linear inequality, so the generator can jump from miss
-//! to miss in O(1) per miss (DESIGN.md §11).
+//! A per-iteration walk evaluates every affine reference at every
+//! iteration — O(iterations) work to discover a request count that is
+//! orders of magnitude smaller (one fetch per chunk). This generator
+//! jumps from cache miss to cache miss instead (DESIGN.md §11). Each
+//! nest is split at the outermost depth where every reference's
+//! linearized element index is affine in the flat index of the loops
+//! inside it ([`sdpm_ir::segmented_forms`]); the loops outside the split
+//! are enumerated one *segment* (one outer index tuple) at a time. A
+//! row-major scan is a single segment; a column walk of a row-major
+//! array is one segment per column. Inside a segment the next miss of a
+//! reference is the solution of a one-variable linear inequality, so
+//! each miss costs O(#refs), and each segment boundary O(#refs · split).
 //!
 //! Exactness: between two misses the buffer cache is static by
-//! construction (no ref misses, so no fetch, so no cache change), and at
-//! a miss iteration the analytic path replays the walk's per-iteration
-//! body verbatim — same ref order, same cache checks, and the shared
-//! [`crate::gen::flush_compute`] / [`crate::gen::emit_chunk_fetch`]
-//! helpers — so the emitted event sequence is byte-identical to
-//! [`crate::gen::generate`]'s. A nest whose references are not affine in
-//! the flat iteration (e.g. a column-major scan of a row-major array,
-//! where `elem = cols·(flat mod rows) + flat div rows`) falls back to the
-//! per-iteration walk for that nest only.
+//! construction (no ref misses, so no fetch, so no cache change). At a
+//! miss iteration — including the first iteration of every segment
+//! where some reference leaves its cached chunk — the generator replays
+//! the walk's per-iteration body verbatim: same ref order, same cache
+//! checks, and the shared [`crate::gen::flush_compute`] /
+//! [`crate::gen::emit_chunk_fetch`] helpers. Cache state therefore
+//! carries across segment and nest boundaries exactly as in the walk,
+//! and the emitted event sequence is byte-identical to the walk oracle
+//! [`crate::gen::generate_walk`]'s.
 
-use crate::event::AppEvent;
-use crate::gen::{
-    emit_chunk_fetch, flush_compute, linrefs_of, LinRef, TraceGenConfig, ITERS_PER_STEP,
-};
-use crate::run::{collect_runs, CompressStream, RunSource, RunStream, RunTrace};
-use crate::stream::{EventSource, EventStream, DEFAULT_CHUNK_EVENTS};
-use sdpm_ir::walk::walk_nest_range;
-use sdpm_ir::{LoopNest, Program};
+use crate::event::{AppEvent, ReqKind};
+use crate::gen::{emit_chunk_fetch, flush_compute, linrefs_of, TraceGenConfig};
+use crate::run::{collect_runs, CompressStream, RunTrace};
+use crate::stream::{EventStream, DEFAULT_CHUNK_EVENTS};
+use sdpm_ir::{segmented_forms, FlatForm, LoopNest, Program};
 use sdpm_layout::DiskPool;
 
-/// A reference whose linearized element index is affine in the flat
-/// iteration number: `elem(flat) = base + slope·flat`.
+/// One reference's segmented closed form.
 struct AffRef {
     array: usize,
-    kind: crate::event::ReqKind,
-    base: i128,
-    slope: i128,
+    kind: ReqKind,
+    form: FlatForm,
+    /// Element index at the current segment's first iteration.
+    seg_base: i128,
 }
 
-/// Per-nest generation strategy.
-enum NestPlan {
-    /// Every reference is affine in flat: jump from miss to miss.
-    Affine(Vec<AffRef>),
-    /// At least one reference is not: per-iteration walk for this nest.
-    Walk,
+/// Per-nest generation plan: the references' closed forms and the
+/// segment being generated.
+struct NestPlan {
+    refs: Vec<AffRef>,
+    /// Iterations per segment: the trip-count product of the loops from
+    /// the split inward.
+    seg_len: u64,
+    /// First flat iteration of the current segment.
+    seg_start: u64,
+    /// Trip counters of the loops outside the split for the current
+    /// segment, outermost first.
+    trips: Vec<u64>,
+}
+
+impl NestPlan {
+    fn new(program: &Program, ni: usize) -> Self {
+        let nest = &program.nests[ni];
+        let linrefs = linrefs_of(program, ni);
+        let lins: Vec<_> = linrefs.iter().map(|lr| lr.lin.clone()).collect();
+        let (split, forms) = segmented_forms(nest, &lins);
+        let refs = linrefs
+            .iter()
+            .zip(forms)
+            .map(|(lr, form)| AffRef {
+                array: lr.array,
+                kind: lr.kind,
+                seg_base: form.base,
+                form,
+            })
+            .collect();
+        NestPlan {
+            refs,
+            seg_len: nest.loops[split..].iter().map(|l| l.count).product(),
+            seg_start: 0,
+            trips: vec![0; split],
+        }
+    }
+
+    /// Moves to the next segment: odometer step over the outer trip
+    /// counters, then each reference's segment base.
+    fn advance(&mut self, nest: &LoopNest) {
+        self.seg_start += self.seg_len;
+        for d in (0..self.trips.len()).rev() {
+            self.trips[d] += 1;
+            if self.trips[d] < nest.loops[d].count {
+                break;
+            }
+            self.trips[d] = 0;
+        }
+        for r in &mut self.refs {
+            r.seg_base = r.form.segment_base(&self.trips);
+        }
+    }
 }
 
 /// `ceil(a / b)` for `b > 0` over `i128`.
@@ -53,88 +101,36 @@ fn ceil_div(a: i128, b: i128) -> i128 {
     a.div_euclid(b) + i128::from(a.rem_euclid(b) != 0)
 }
 
-/// Expresses `lin` as `base + slope·flat` when the nest's odometer makes
-/// that exact, i.e. when `coeff_d·step_d == slope·weight_d` for every
-/// loop with more than one iteration (`weight_d` = product of the trip
-/// counts of the loops nested inside `d`).
-fn affine_in_flat(nest: &LoopNest, lin: &sdpm_ir::AffineExpr) -> Option<(i128, i128)> {
-    let depth = nest.loops.len();
-    // weight_d = product of inner trip counts, outermost first.
-    let mut weights = vec![1i128; depth];
-    let mut acc = 1i128;
-    for d in (0..depth).rev() {
-        weights[d] = acc;
-        acc = acc.checked_mul(i128::from(nest.loops[d].count))?;
-    }
-    let coeff = |d: usize| i128::from(*lin.coeffs.get(d).unwrap_or(&0));
-    // Slope fixed by the innermost loop that actually varies.
-    let mut slope = 0i128;
-    for d in (0..depth).rev() {
-        if nest.loops[d].count > 1 {
-            let contrib = coeff(d).checked_mul(i128::from(nest.loops[d].step))?;
-            if contrib % weights[d] != 0 {
-                return None;
-            }
-            slope = contrib / weights[d];
-            break;
-        }
-    }
-    for (d, &w) in weights.iter().enumerate().take(depth) {
-        if nest.loops[d].count <= 1 {
-            continue;
-        }
-        let contrib = coeff(d).checked_mul(i128::from(nest.loops[d].step))?;
-        if slope.checked_mul(w)? != contrib {
-            return None;
-        }
-    }
-    let mut base = i128::from(lin.constant);
-    for d in 0..depth {
-        base = base.checked_add(coeff(d).checked_mul(i128::from(nest.loops[d].lower))?)?;
-    }
-    Some((base, slope))
-}
-
-/// Builds the per-nest plan: affine descriptors for every reference, or
-/// the walk fallback if any reference resists.
-fn plan_nest(nest: &LoopNest, linrefs: &[LinRef]) -> NestPlan {
-    let mut refs = Vec::with_capacity(linrefs.len());
-    for lr in linrefs {
-        match affine_in_flat(nest, &lr.lin) {
-            Some((base, slope)) => refs.push(AffRef {
-                array: lr.array,
-                kind: lr.kind,
-                base,
-                slope,
-            }),
-            None => return NestPlan::Walk,
-        }
-    }
-    NestPlan::Affine(refs)
-}
-
-/// The analytic generator as a lazy [`EventStream`]: byte-identical
-/// output to [`crate::gen::GenStream`], produced in O(1) per cache miss
-/// on affine nests.
+/// The analytic generator as a lazy [`EventStream`], producing events in
+/// O(#refs) per cache miss. [`crate::gen::generate`] and
+/// [`crate::gen::GenSource`] drain it.
 pub struct RunGenStream<'a> {
     program: &'a Program,
     pool: DiskPool,
     config: TraceGenConfig,
+    /// One cached chunk per array, persisting across nests (a hot array
+    /// carried between nests does not refetch its resident chunk).
     cached_chunk: Vec<Option<u64>>,
+    /// Per-disk next expected block for sequential detection.
     next_block: Vec<Option<u64>>,
+    /// Current nest, next flat iteration within it, and the first
+    /// iteration of the compute run accumulating toward the next flush.
     ni: usize,
     pos: u64,
     pending_start: u64,
-    linrefs: Vec<LinRef>,
-    plan: NestPlan,
+    plan: Option<NestPlan>,
     buf: Vec<AppEvent>,
-    target: usize,
+    pub(crate) target: usize,
+    /// Events delivered so far; reported to `learn` on exhaustion.
     counted: u64,
-    learn: Option<&'a std::cell::Cell<Option<u64>>>,
+    /// Where a [`crate::gen::GenSource`] learns its event count from the
+    /// first fully drained pass (its size hint).
+    pub(crate) learn: Option<&'a std::cell::Cell<Option<u64>>>,
 }
 
 impl<'a> RunGenStream<'a> {
-    /// Opens an analytic generator stream over `program`.
+    /// Opens an analytic generator stream over `program`, emitting
+    /// chunks of roughly [`DEFAULT_CHUNK_EVENTS`] events.
     ///
     /// # Panics
     /// If the program fails [`Program::validate`] or the I/O chunk size
@@ -145,13 +141,6 @@ impl<'a> RunGenStream<'a> {
         if let Err(e) = program.validate(pool) {
             panic!("trace generation requires a valid program: {e}");
         }
-        let (linrefs, plan) = if program.nests.is_empty() {
-            (Vec::new(), NestPlan::Affine(Vec::new()))
-        } else {
-            let linrefs = linrefs_of(program, 0);
-            let plan = plan_nest(&program.nests[0], &linrefs);
-            (linrefs, plan)
-        };
         RunGenStream {
             program,
             pool,
@@ -161,8 +150,7 @@ impl<'a> RunGenStream<'a> {
             ni: 0,
             pos: 0,
             pending_start: 0,
-            linrefs,
-            plan,
+            plan: (!program.nests.is_empty()).then(|| NestPlan::new(program, 0)),
             buf: Vec::new(),
             target: DEFAULT_CHUNK_EVENTS,
             counted: 0,
@@ -170,61 +158,68 @@ impl<'a> RunGenStream<'a> {
         }
     }
 
-    /// First iteration `>= pos` at which `r` misses the cache, assuming
-    /// the cache does not change before then (guaranteed: no ref misses
-    /// earlier, so nothing fetches). `total` means "never within this
-    /// nest".
-    fn next_miss(&self, r: &AffRef, pos: u64, total: u64) -> u64 {
-        let eb = i128::from(self.program.arrays[r.array].element_bytes);
-        let cb = i128::from(self.config.io_chunk_bytes);
+    /// First iteration in `[pos, end)` at which `r` misses the cache,
+    /// assuming the cache does not change before then (guaranteed: no
+    /// ref misses earlier, so nothing fetches); `end` means none does.
+    /// `pos` lies in the segment starting at `seg_start`, which runs to
+    /// at least `end`.
+    fn next_miss(&self, r: &AffRef, seg_start: u64, pos: u64, end: u64) -> u64 {
+        if pos >= end {
+            return end;
+        }
         let Some(c) = self.cached_chunk[r.array] else {
             return pos;
         };
+        let eb = i128::from(self.program.arrays[r.array].element_bytes);
+        let cb = i128::from(self.config.io_chunk_bytes);
         let c = i128::from(c);
-        let elem_at = |f: u64| r.base + r.slope * i128::from(f);
-        let chunk_of = |f: u64| (elem_at(f) * eb).div_euclid(cb);
-        if chunk_of(pos) != c {
+        let off = i128::from(pos - seg_start);
+        if ((r.seg_base + r.form.slope * off) * eb).div_euclid(cb) != c {
             return pos;
         }
-        if r.slope == 0 {
-            return total;
-        }
-        let f = if r.slope > 0 {
-            // First f with elem·eb ≥ (c+1)·cb.
-            let lo_elem = ceil_div((c + 1) * cb, eb);
-            ceil_div(lo_elem - r.base, r.slope)
-        } else {
-            // First f with elem·eb ≤ c·cb − 1; impossible when c == 0.
-            if c == 0 {
-                return total;
-            }
-            let hi_elem = (c * cb - 1).div_euclid(eb);
-            ceil_div(r.base - hi_elem, -r.slope)
+        let slope = r.form.slope;
+        let miss_off = match slope.signum() {
+            0 => return end,
+            // First offset with elem·eb ≥ (c+1)·cb.
+            1 => ceil_div(ceil_div((c + 1) * cb, eb) - r.seg_base, slope),
+            // First offset with elem·eb ≤ c·cb − 1; impossible when c == 0.
+            _ if c == 0 => return end,
+            _ => ceil_div(r.seg_base - (c * cb - 1).div_euclid(eb), -slope),
         };
-        debug_assert!(f > i128::from(pos));
-        u64::try_from(f).map_or(total, |f| f.min(total))
+        debug_assert!(miss_off > off);
+        u64::try_from(miss_off)
+            .ok()
+            .and_then(|o| o.checked_add(seg_start))
+            .map_or(end, |f| f.min(end))
     }
 
-    /// Processes the next miss iteration of the current (affine) nest, or
-    /// finishes the nest when no reference misses again. Replays the
-    /// walk's per-iteration body at the miss, so cache effects between
-    /// references sharing an array are exact.
-    fn step_affine(&mut self) {
+    /// Processes the current nest's next miss iteration, or finishes the
+    /// segment (and the nest, after its last segment) when no reference
+    /// misses before the segment ends. Replays the walk's body at the
+    /// miss, so cache effects between references sharing an array are
+    /// exact.
+    fn step(&mut self) {
         let ni = self.ni;
         let iter_secs = self.program.iter_secs(ni);
         let total = self.program.nests[ni].iter_count();
-        let NestPlan::Affine(refs) = &self.plan else {
-            unreachable!("step_affine on a walk-planned nest");
+        let Some(plan) = &self.plan else {
+            unreachable!("a plan exists for every nest being generated");
         };
-        let mut m = total;
-        for r in refs {
-            if self.pos >= total {
-                break;
+        let seg_start = plan.seg_start;
+        let seg_end = seg_start.saturating_add(plan.seg_len).min(total);
+        let m = plan
+            .refs
+            .iter()
+            .map(|r| self.next_miss(r, seg_start, self.pos, seg_end))
+            .min()
+            .unwrap_or(seg_end);
+        if m >= seg_end {
+            if seg_end >= total {
+                self.finish_nest(total, iter_secs);
+            } else if let Some(plan) = &mut self.plan {
+                plan.advance(&self.program.nests[ni]);
+                self.pos = seg_end;
             }
-            m = m.min(self.next_miss(r, self.pos, total));
-        }
-        if m >= total {
-            self.finish_nest(total, iter_secs);
             return;
         }
         // Replay the walk's body at iteration m, ref by ref.
@@ -235,16 +230,17 @@ impl<'a> RunGenStream<'a> {
             cached_chunk,
             next_block,
             pending_start,
-            plan,
+            plan: Some(plan),
             buf,
             ..
-        } = self;
-        let NestPlan::Affine(refs) = plan else {
+        } = self
+        else {
             unreachable!();
         };
-        for r in refs.iter() {
+        let off = i128::from(m - plan.seg_start);
+        for r in &plan.refs {
             let file = &program.arrays[r.array];
-            let elem = r.base + r.slope * i128::from(m);
+            let elem = r.seg_base + r.form.slope * off;
             // Non-negative and in `u64` range by `Program::validate`; a
             // violation is a caller contract breach, reported loudly.
             let byte = u64::try_from(elem)
@@ -261,51 +257,6 @@ impl<'a> RunGenStream<'a> {
         self.pos = m + 1;
     }
 
-    /// Walk fallback: identical to [`crate::gen::GenStream::step`].
-    fn step_walk(&mut self) {
-        let ni = self.ni;
-        let pos = self.pos;
-        let iter_secs = self.program.iter_secs(ni);
-        let RunGenStream {
-            program,
-            pool,
-            config,
-            cached_chunk,
-            next_block,
-            pending_start,
-            linrefs,
-            buf,
-            ..
-        } = self;
-        let nest = &program.nests[ni];
-        let total = nest.iter_count();
-        let step_to = pos.saturating_add(ITERS_PER_STEP).min(total);
-        walk_nest_range(nest, pos, step_to, |flat, ivars| {
-            for lr in linrefs.iter() {
-                let file = &program.arrays[lr.array];
-                let elem = lr.lin.eval(ivars);
-                // Non-negative by `Program::validate`; a violation is a
-                // caller contract breach, reported loudly.
-                let byte = u64::try_from(elem)
-                    .unwrap_or_else(|_| panic!("negative element index {elem}"))
-                    * file.element_bytes;
-                let chunk = byte / config.io_chunk_bytes;
-                if cached_chunk[lr.array] == Some(chunk) {
-                    continue;
-                }
-                cached_chunk[lr.array] = Some(chunk);
-                flush_compute(buf, ni, pending_start, flat, iter_secs);
-                emit_chunk_fetch(
-                    file, *pool, config, next_block, buf, ni, flat, lr.kind, chunk,
-                );
-            }
-        });
-        self.pos = step_to;
-        if step_to >= total {
-            self.finish_nest(total, iter_secs);
-        }
-    }
-
     /// Flushes the nest's tail compute and advances to the next nest.
     fn finish_nest(&mut self, total: u64, iter_secs: f64) {
         let ni = self.ni;
@@ -313,17 +264,8 @@ impl<'a> RunGenStream<'a> {
         self.ni += 1;
         self.pos = 0;
         self.pending_start = 0;
-        if self.ni < self.program.nests.len() {
-            self.linrefs = linrefs_of(self.program, self.ni);
-            self.plan = plan_nest(&self.program.nests[self.ni], &self.linrefs);
-        }
-    }
-
-    fn step(&mut self) {
-        match self.plan {
-            NestPlan::Affine(_) => self.step_affine(),
-            NestPlan::Walk => self.step_walk(),
-        }
+        self.plan =
+            (self.ni < self.program.nests.len()).then(|| NestPlan::new(self.program, self.ni));
     }
 }
 
@@ -355,61 +297,9 @@ impl EventStream for RunGenStream<'_> {
     }
 }
 
-/// A re-openable analytic generator source. Serves both interfaces: as an
-/// [`EventSource`] it streams per-event output (byte-identical to
-/// [`crate::gen::GenSource`]); as a [`RunSource`] it run-compresses that
-/// output on the fly, which is what the O(#runs) simulator consumes.
-pub struct RunGenSource<'a> {
-    program: &'a Program,
-    pool: DiskPool,
-    config: TraceGenConfig,
-    learned: std::cell::Cell<Option<u64>>,
-}
-
-impl<'a> RunGenSource<'a> {
-    /// # Panics
-    /// If the program fails [`Program::validate`] or the I/O chunk size
-    /// is zero.
-    #[must_use]
-    pub fn new(program: &'a Program, pool: DiskPool, config: TraceGenConfig) -> Self {
-        assert!(config.io_chunk_bytes > 0, "chunk size must be positive");
-        if let Err(e) = program.validate(pool) {
-            panic!("trace generation requires a valid program: {e}");
-        }
-        RunGenSource {
-            program,
-            pool,
-            config,
-            learned: std::cell::Cell::new(None),
-        }
-    }
-}
-
-impl EventSource for RunGenSource<'_> {
-    fn open(&self) -> Box<dyn EventStream + '_> {
-        let mut s = RunGenStream::new(self.program, self.pool, self.config);
-        s.learn = Some(&self.learned);
-        Box::new(s)
-    }
-
-    fn size_hint(&self) -> Option<u64> {
-        self.learned.get()
-    }
-}
-
-impl RunSource for RunGenSource<'_> {
-    fn open_runs(&self) -> Box<dyn RunStream + '_> {
-        Box::new(CompressStream::new(RunGenStream::new(
-            self.program,
-            self.pool,
-            self.config,
-        )))
-    }
-}
-
-/// Generates the run-compressed trace of `program` against `pool`
-/// analytically; lowering it reproduces [`crate::gen::generate`]'s trace
-/// byte for byte.
+/// Generates the run-compressed trace of `program` against `pool`;
+/// lowering it reproduces [`crate::gen::generate`]'s trace byte for
+/// byte.
 ///
 /// # Panics
 /// If the program fails [`Program::validate`] or the chunk size is zero.
@@ -424,8 +314,9 @@ pub fn generate_runs(program: &Program, pool: DiskPool, config: TraceGenConfig) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gen::generate;
-    use crate::stream::collect;
+    use crate::gen::{generate, generate_walk, GenSource};
+    use crate::run::{collect_runs, RunSource};
+    use crate::stream::{collect, EventSource};
     use sdpm_ir::{AffineExpr, ArrayRef, LoopDim, LoopNest, Statement};
     use sdpm_layout::{ArrayFile, DiskId, StorageOrder, Striping};
 
@@ -452,9 +343,10 @@ mod tests {
     }
 
     fn assert_analytic_matches_walk(p: &Program, pool: DiskPool, config: TraceGenConfig) {
-        let walked = generate(p, pool, config);
-        let analytic = collect(&mut RunGenStream::new(p, pool, config));
-        assert_eq!(analytic, walked);
+        let walked = generate_walk(p, pool, config);
+        assert!(!walked.events.is_empty());
+        assert_eq!(collect(&mut RunGenStream::new(p, pool, config)), walked);
+        assert_eq!(generate(p, pool, config), walked);
         assert_eq!(generate_runs(p, pool, config).lower(), walked);
     }
 
@@ -573,9 +465,10 @@ mod tests {
     }
 
     #[test]
-    fn column_scan_falls_back_to_walk_and_matches() {
+    fn column_scan_plans_segments_and_matches_walk() {
         // A[j][i] with i outer, j inner over a row-major array: elem =
-        // 128·j + i is NOT affine in flat — the plan must fall back.
+        // 64·j + i is not affine in flat, but is per column — the plan
+        // enumerates one segment per value of i.
         let p = Program {
             name: "colscan".into(),
             arrays: vec![file("A", vec![128, 64], 0)],
@@ -593,9 +486,10 @@ mod tests {
             }],
             clock_hz: Program::PAPER_CLOCK_HZ,
         };
-        let linrefs = linrefs_of(&p, 0);
-        assert!(matches!(plan_nest(&p.nests[0], &linrefs), NestPlan::Walk));
+        let plan = NestPlan::new(&p, 0);
+        assert_eq!((plan.trips.len(), plan.seg_len), (1, 128));
         assert_analytic_matches_walk(&p, DiskPool::new(4), cfg(4 * 1024, false));
+        assert_analytic_matches_walk(&p, DiskPool::new(4), cfg(1024, true));
     }
 
     #[test]
@@ -648,7 +542,7 @@ mod tests {
         };
         let pool = DiskPool::new(4);
         let config = cfg(8 * 1024, false);
-        let src = RunGenSource::new(&p, pool, config);
+        let src = GenSource::new(&p, pool, config);
         assert_eq!(src.size_hint(), None, "size unknown before a drain");
         let a = collect(&mut *EventSource::open(&src));
         assert_eq!(src.size_hint(), Some(a.events.len() as u64));

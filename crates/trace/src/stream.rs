@@ -8,9 +8,9 @@
 //!
 //! * [`TraceStream`] — chunked windows over a materialized [`Trace`]
 //!   (back-compat; zero-copy),
-//! * [`crate::gen::GenStream`] — the trace generator itself, emitting
-//!   events as the iteration-space walk discovers them (the trace is
-//!   never fully resident),
+//! * [`crate::rungen::RunGenStream`] — the trace generator itself,
+//!   emitting events as it computes them (the trace is never fully
+//!   resident),
 //! * [`crate::codec::DecodeStream`] — incremental decode of the `SDPM`
 //!   binary format (one chunk of events resident at a time).
 //!
@@ -152,6 +152,8 @@ pub fn collect(stream: &mut dyn EventStream) -> Trace {
     while let Some(chunk) = stream.next_chunk() {
         events.extend_from_slice(chunk);
     }
+    // Cached traces live for a whole session: drop the growth slack.
+    events.shrink_to_fit();
     Trace {
         name,
         pool_size,

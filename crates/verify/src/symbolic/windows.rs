@@ -14,7 +14,7 @@
 //! the concrete execution. Two precision tiers:
 //!
 //! * References whose storage index is affine *in the flat iteration*
-//!   (the odometer-carry condition below) get exact first/last
+//!   (the odometer-carry condition of [`sdpm_ir::flat`]) get exact first/last
 //!   iterations per disk, found by scanning stripes from both range ends
 //!   — the stripe -> disk map is periodic in the stripe factor, so the
 //!   scan is bounded, never a walk of the iteration space.
@@ -28,7 +28,7 @@
 
 use super::interval::{affine_range, div_ceil, div_floor, Itv};
 use sdpm_ir::conform::linearized_ref;
-use sdpm_ir::Program;
+use sdpm_ir::{flat_form, Program};
 
 /// May-access window of one disk in one nest: flat iterations
 /// `[first, last]` (inclusive).
@@ -54,7 +54,8 @@ struct RefShape {
     /// Storage-index range over the iteration box.
     elems: Itv,
     /// `Some((slope, base))` when the storage index is `base + slope *
-    /// flat` for the flat iteration — the odometer-carry condition.
+    /// flat` for the flat iteration — the odometer-carry condition
+    /// ([`sdpm_ir::flat_form`]).
     flat_affine: Option<(i128, i128)>,
     element_bytes: i128,
     stripe_bytes: i128,
@@ -91,7 +92,7 @@ pub fn symbolic_windows(program: &Program, pool_size: u32, slack_bytes: u64) -> 
                 };
                 let shape = RefShape {
                     elems,
-                    flat_affine: flat_affine_form(&lin, nest),
+                    flat_affine: flat_form(nest, &lin).map(|f| (f.slope, f.base)),
                     element_bytes: i128::from(file.element_bytes),
                     stripe_bytes: i128::from(file.striping.stripe_bytes),
                     stripe_factor: file.striping.stripe_factor,
@@ -103,37 +104,6 @@ pub fn symbolic_windows(program: &Program, pool_size: u32, slack_bytes: u64) -> 
         })
         .collect();
     SymbolicActivity { pool_size, nests }
-}
-
-/// The odometer-carry test: the linearized index is affine in the flat
-/// iteration iff each dimension's per-trip contribution equals a common
-/// slope times that dimension's flat weight (the product of inner trip
-/// counts). Returns `(slope, base)` on success.
-fn flat_affine_form(lin: &sdpm_ir::AffineExpr, nest: &sdpm_ir::LoopNest) -> Option<(i128, i128)> {
-    let depth = nest.depth();
-    // Flat weight of each dimension: product of the trip counts inside it.
-    let mut weight = vec![1i128; depth];
-    for d in (0..depth.saturating_sub(1)).rev() {
-        weight[d] = weight[d + 1] * i128::from(nest.loops[d + 1].count);
-    }
-    let mut slope: Option<i128> = None;
-    for (d, &w) in weight.iter().enumerate() {
-        if nest.loops[d].count <= 1 {
-            continue; // a fixed trip index contributes to the base only
-        }
-        let a = i128::from(lin.coeff(d)) * i128::from(nest.loops[d].step);
-        if a % w != 0 {
-            return None;
-        }
-        let s = a / w;
-        match slope {
-            None => slope = Some(s),
-            Some(prev) if prev == s => {}
-            Some(_) => return None,
-        }
-    }
-    let base = i128::from(lin.eval(&nest.ivars_of(0)));
-    Some((slope.unwrap_or(0), base))
 }
 
 /// Folds one reference's windows into the per-disk accumulator.

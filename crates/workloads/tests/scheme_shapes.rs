@@ -123,3 +123,44 @@ fn compute_share_is_the_table2_residual() {
         );
     }
 }
+
+/// The trace generator plans each nest with [`sdpm_ir::segmented_forms`]
+/// and enumerates one segment per outer index tuple. No nest of the six
+/// models or their transformed variants is enumerated iteration by
+/// iteration: only wupwise's column walk splits at all, into one segment
+/// per matrix column (none once TL+DL transposes the matrix).
+#[test]
+fn every_model_and_variant_plans_few_segments() {
+    use sdpm_ir::conform::linearized_ref;
+    use sdpm_xform::Transform;
+    let pool = DiskPool::new(8);
+    for bench in all_benchmarks() {
+        let mut variants = vec![("none", bench.program.clone())];
+        for t in Transform::all() {
+            variants.push((t.label(), t.apply(&bench.program, pool)));
+        }
+        for (label, p) in &variants {
+            for n in &p.nests {
+                let lins: Vec<_> = n
+                    .stmts
+                    .iter()
+                    .flat_map(|s| s.refs.iter())
+                    .map(|r| linearized_ref(r, &p.arrays[r.array], p.arrays[r.array].order))
+                    .collect();
+                let (split, _) = sdpm_ir::segmented_forms(n, &lins);
+                let segments: u64 = n.loops[..split].iter().map(|l| l.count).product();
+                let most = if n.label.starts_with("zgemm-col") {
+                    8
+                } else {
+                    1
+                };
+                assert!(
+                    segments <= most,
+                    "{} {label} nest {}: {segments} segments",
+                    bench.name,
+                    n.label
+                );
+            }
+        }
+    }
+}

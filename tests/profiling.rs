@@ -54,9 +54,10 @@ fn profile_covers_every_pipeline_stage() {
     let bench = sdpm_workloads::swim();
     let (p, chrome) = run_profile(&bench);
 
-    // gen -> compress -> encode/decode -> simulate, each under its leg.
+    // gen -> compress -> encode/decode -> simulate, each under its leg,
+    // and the walk oracle under its own.
     for path in [
-        "profile.per_event/session.generate/trace.gen.walk",
+        "profile.per_event/session.generate/trace.gen",
         "profile.per_event/session.simulate/sim.simulate",
         "profile.run_compressed/session.simulate_runs/session.generate_runs/trace.gen.analytic",
         "profile.run_compressed/session.simulate_runs/sim.simulate_runs",
@@ -65,15 +66,19 @@ fn profile_covers_every_pipeline_stage() {
         "profile.codec/trace.decode",
         "profile.codec/sim.simulate",
         "profile.verify/verify.run",
+        "profile.oracle/trace.gen.walk",
     ] {
         assert!(p.node(path).is_some(), "missing span path {path}");
     }
 
-    // Throughput counters carry real totals.
-    let walk = p
-        .node("profile.per_event/session.generate/trace.gen.walk")
-        .expect("walk node");
-    assert!(counter(walk, "gen.events") > 0);
+    // Throughput counters carry real totals, equal for the generator
+    // and its oracle.
+    let gen = p
+        .node("profile.per_event/session.generate/trace.gen")
+        .expect("generator node");
+    assert!(counter(gen, "gen.events") > 0);
+    let walk = p.node("profile.oracle/trace.gen.walk").expect("walk node");
+    assert_eq!(counter(walk, "gen.events"), counter(gen, "gen.events"));
     let enc = p.node("profile.codec/trace.encode").expect("encode node");
     assert!(counter(enc, "encode.bytes") > 0);
 
