@@ -1,10 +1,10 @@
 //! `repro bench all`: the merged benchmark taxonomy and its CI gate.
 //!
-//! One entry point subsumes the three historical harness shapes — the
-//! streaming-path bench (`BENCH_streaming.json`), the run-compression
-//! bench (`BENCH_runlen.json`), and the fault-sweep smoke
-//! (`repro faultsim`) — plus codec round-trip timings, under a single
-//! schema (`sdpm-bench/v1`) with a labeled taxonomy:
+//! One entry point subsumes the historical harness shapes — the
+//! streamed-vs-materialized simulator paths, the run-compression bench
+//! (`BENCH_runlen.json`), and the fault-sweep smoke (`repro faultsim`) —
+//! plus codec round-trip timings, under a single schema
+//! (`sdpm-bench/v1`) with a labeled taxonomy:
 //!
 //! * **layer** — which subsystem is on the clock: `gen` (trace
 //!   generators), `suite` (end-to-end seven-scheme pipeline), `sim`
@@ -15,7 +15,7 @@
 //!   trace's sequential fraction: `seq` (>= 3/4 sequential), `rand`
 //!   (<= 1/4), `mixed` otherwise.
 //! * **mode** — the variant within the layer: `walk`/`analytic`,
-//!   `per_event`/`run_compressed`, `streamed`/`sharded`/`materialized`,
+//!   `per_event`/`run_compressed`, `streamed`/`materialized`,
 //!   `encode`/`decode`, `sweep`.
 //!
 //! Entry ids are `{layer}_{access}_{mode}__{kernel}`, stable across PRs
@@ -129,7 +129,7 @@ fn entry(
     }
 }
 
-/// Runs every layer of the taxonomy over one kernel (eleven entries).
+/// Runs every layer of the taxonomy over one kernel (ten entries).
 #[must_use]
 pub fn bench_kernel_all(bench: &Benchmark) -> Vec<BenchEntry> {
     let cfg = config_for(bench);
@@ -144,7 +144,7 @@ pub fn bench_kernel_all(bench: &Benchmark) -> Vec<BenchEntry> {
 
     // gen + suite layers: the run-compression harness measures both.
     let kc = run_kernel_bench(bench);
-    // sim layer: the streaming harness measures the three data paths.
+    // sim layer: the streaming harness measures both data paths.
     let sb = run_stream_bench(bench);
 
     // codec layer: binary round trip of the base trace.
@@ -291,16 +291,6 @@ pub fn bench_kernel_all(bench: &Benchmark) -> Vec<BenchEntry> {
             "streamed",
             kernel,
             &sb.streamed,
-            kc.events,
-            "events",
-            sb.reports_identical,
-        ),
-        entry(
-            "sim",
-            access,
-            "sharded",
-            kernel,
-            &sb.sharded,
             kc.events,
             "events",
             sb.reports_identical,

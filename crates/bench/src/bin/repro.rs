@@ -7,7 +7,7 @@
 //! repro probe <events.jsonl> [top_k]
 //! repro lint [benchmark|all] [--scheme S|all] [--json]
 //! repro prove [benchmark|all] [--scheme S|all] [--json] [--out PATH]
-//! repro bench [--bench swim] [--json] [--out BENCH_streaming.json]
+//! repro bench --runlen [--json] [--out BENCH_runlen.json]
 //! repro bench all [--kernel swim|all] [--json] [--out BENCH.json]
 //!                 [--history dev/bench/history.jsonl] [--gate]
 //! repro profile [--bench swim] [--json PROFILE.json]
@@ -155,93 +155,38 @@ fn main() {
     }
 }
 
-/// `repro bench`: times the scheme suite over the streamed, sharded,
-/// and materialized trace data paths (see `sdpm_bench::streambench`).
-/// `--json` additionally writes the machine-readable record to
-/// `BENCH_streaming.json` (or `--out`'s path). Exits nonzero if the
-/// paths' reports are not bitwise identical.
+/// `repro bench --runlen [--json] [--out BENCH_runlen.json]`: the
+/// per-event vs run-compressed table (see [`runlen_bench_cmd`]). Bare
+/// `repro bench` points at `repro bench all`, the merged record.
 fn bench_cmd(args: &[String]) {
-    use sdpm_bench::streambench::run_stream_bench;
-
-    let mut bench_arg = "swim".to_string();
     let mut json = false;
     let mut runlen = false;
-    let mut out_path = String::new();
+    let mut out_path = "BENCH_runlen.json".to_string();
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        let mut val = |flag: &str| {
-            it.next()
-                .unwrap_or_else(|| {
-                    eprintln!("{flag} needs a value");
-                    std::process::exit(2);
-                })
-                .clone()
-        };
         match a.as_str() {
             "--json" => json = true,
             "--runlen" => runlen = true,
-            "--bench" => bench_arg = val("--bench"),
-            "--out" => out_path = val("--out"),
-            other => bench_arg = other.to_string(),
+            "--out" => {
+                out_path = it.next().cloned().unwrap_or_else(|| {
+                    eprintln!("--out needs a value");
+                    std::process::exit(2);
+                });
+            }
+            other => {
+                eprintln!("unknown bench argument '{other}'");
+                std::process::exit(2);
+            }
         }
     }
-    if out_path.is_empty() {
-        out_path = if runlen {
-            "BENCH_runlen.json".to_string()
-        } else {
-            "BENCH_streaming.json".to_string()
-        };
-    }
-    if runlen {
-        runlen_bench_cmd(json, &out_path);
-        return;
-    }
-
-    let all = suite();
-    let Some(b) = all.iter().find(|b| {
-        b.name
-            .to_ascii_lowercase()
-            .contains(&bench_arg.to_ascii_lowercase())
-    }) else {
-        let names: Vec<&str> = all.iter().map(|b| b.name).collect();
+    if !runlen {
         eprintln!(
-            "unknown benchmark '{bench_arg}'; one of: {}",
-            names.join(" ")
+            "repro bench: run `repro bench all` for the merged benchmark, \
+             or `repro bench --runlen` for the run-compression table"
         );
         std::process::exit(2);
-    };
-
-    let r = run_stream_bench(b);
-    println!(
-        "== Streaming bench: {} ({} suite) ==",
-        r.bench,
-        r.schemes.join("+")
-    );
-    println!(
-        "{}",
-        render_table(
-            &[
-                "data path".into(),
-                "wall secs".into(),
-                "peak RSS KiB".into()
-            ],
-            &r.rows()
-        )
-    );
-    println!(
-        "reports identical across paths: {}",
-        if r.reports_identical { "yes" } else { "NO" }
-    );
-    if json {
-        std::fs::write(&out_path, r.to_json()).unwrap_or_else(|e| {
-            eprintln!("cannot write {out_path}: {e}");
-            std::process::exit(2);
-        });
-        println!("wrote {out_path}");
     }
-    if !r.reports_identical {
-        std::process::exit(1);
-    }
+    runlen_bench_cmd(json, &out_path);
 }
 
 /// `repro bench all`: the merged taxonomy (see `sdpm_bench::benchall`)

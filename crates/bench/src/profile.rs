@@ -1,7 +1,7 @@
 //! `repro profile`: the host-side profiling driver.
 //!
 //! Turns on the profiling spine ([`sdpm_obs::prof`]) and drives the
-//! full pipeline once over one kernel, in six labeled legs:
+//! full pipeline once over one kernel, in five labeled legs:
 //!
 //! 1. `profile.per_event` — the seven-scheme suite through
 //!    [`Session::run`] (trace generator, instrumentation, per-event
@@ -14,11 +14,8 @@
 //!    trip (encode and decode of both trace forms) and a simulation of
 //!    the decoded trace, so `encode.bytes`/`decode.bytes` throughput is
 //!    measured on real data.
-//! 4. `profile.sharded` — the streaming simulator's sharded path over a
-//!    re-openable generator source (small kernels fall back to the
-//!    sequential loop; the fallback is itself a profiling result).
-//! 5. `profile.verify` — the static verifier over the base trace.
-//! 6. `profile.oracle` — the walk oracle regenerates the base trace
+//! 4. `profile.verify` — the static verifier over the base trace.
+//! 5. `profile.oracle` — the walk oracle regenerates the base trace
 //!    iteration by iteration; the leg panics if it differs from the
 //!    analytic generator's.
 //!
@@ -37,12 +34,12 @@ use sdpm_core::{Scheme, Session};
 use sdpm_layout::DiskPool;
 use sdpm_obs::prof;
 use sdpm_obs::{ChromeTraceRecorder, Profile};
-use sdpm_sim::{simulate, simulate_sharded, Policy};
+use sdpm_sim::{simulate, Policy};
 use sdpm_trace::codec;
-use sdpm_trace::{compress, generate_walk, GenSource};
+use sdpm_trace::{compress, generate_walk};
 use sdpm_workloads::Benchmark;
 
-/// Runs the six profiling legs over `bench` and returns the collected
+/// Runs the five profiling legs over `bench` and returns the collected
 /// profile plus the Chrome recorder that watched the CMDRPM run (attach
 /// the profile to it and write it out for the merged timeline).
 ///
@@ -88,12 +85,6 @@ pub fn run_profile(bench: &Benchmark) -> (Profile, ChromeTraceRecorder) {
                 .unwrap_or_else(|e| panic!("decode own run encoding: {e}"));
         }
         let _ = simulate(&decoded, &cfg.params, pool, &Policy::Base);
-    }
-
-    {
-        let _leg = prof::span("profile.sharded");
-        let source = GenSource::new(&bench.program, pool, cfg.gen);
-        let _ = simulate_sharded(&source, &cfg.params, pool, &Policy::Drpm(cfg.drpm));
     }
 
     {

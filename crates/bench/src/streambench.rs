@@ -1,11 +1,11 @@
-//! `repro bench`: the streaming-vs-materialized timing harness.
+//! The `sim` layer of `repro bench all`: streamed vs materialized.
 //!
 //! Runs the same scheme suite through the two trace data paths —
 //! generate-then-materialize ([`sdpm_sim::simulate`] on a [`Trace`]) and
-//! lazy streaming ([`sdpm_sim::simulate_source`] over a
-//! [`sdpm_trace::GenSource`]) — and reports suite wall time and peak RSS
-//! per path, as the machine-readable `BENCH_streaming.json` record that
-//! tracks the perf trajectory in CI.
+//! lazy streaming ([`sdpm_sim::try_simulate_source_faulted`] over a
+//! [`sdpm_trace::GenSource`]) — and reports suite wall time and peak
+//! memory per path (the `sim_*_streamed`/`sim_*_materialized` entries of
+//! `BENCH.json`).
 //!
 //! Peak memory per phase comes from the counting allocator's heap
 //! watermark ([`sdpm_obs::prof::heap_mark`], installed by this crate's
@@ -17,8 +17,9 @@
 
 use crate::config_for;
 use sdpm_core::PipelineConfig;
+use sdpm_disk::DiskParams;
 use sdpm_layout::DiskPool;
-use sdpm_sim::{simulate, simulate_sharded, simulate_source, Policy, SimReport};
+use sdpm_sim::{simulate, try_simulate_source_faulted, Policy, SimReport};
 use sdpm_trace::{generate, GenSource, Trace};
 use sdpm_workloads::Benchmark;
 use std::time::Instant;
@@ -50,15 +51,9 @@ pub struct StreamBench {
     pub bench: &'static str,
     pub schemes: Vec<&'static str>,
     pub streamed: PathCost,
-    pub sharded: PathCost,
     pub materialized: PathCost,
-    /// Engine path the "sharded" suite actually ran
-    /// ([`sdpm_sim::SimPath::label`]): `"sharded"`, or `"streamed"` when
-    /// [`simulate_sharded`] routed a small workload to the sequential
-    /// fallback.
-    pub sharded_path: &'static str,
-    /// Every scheme's streamed and sharded reports matched the
-    /// materialized ones bitwise.
+    /// Every scheme's streamed report matched the materialized one
+    /// bitwise.
     pub reports_identical: bool,
 }
 
@@ -123,19 +118,13 @@ pub fn run_stream_bench(bench: &Benchmark) -> StreamBench {
     // Untimed warm-up (page cache, allocator, lazy relocations). It must
     // not materialize anything: a trace allocation here would raise the
     // high-water mark before the streamed reading.
-    let _ = simulate_source(&source, &cfg.params, pool, &Policy::Base);
+    let _ = streamed(&source, &cfg.params, pool, &Policy::Base);
 
-    let suites: [Box<dyn Fn() -> Vec<SimReport>>; 3] = [
+    let suites: [Box<dyn Fn() -> Vec<SimReport>>; 2] = [
         Box::new(|| {
             policies
                 .iter()
-                .map(|(_, p)| simulate_source(&source, &cfg.params, pool, p))
-                .collect()
-        }),
-        Box::new(|| {
-            policies
-                .iter()
-                .map(|(_, p)| simulate_sharded(&source, &cfg.params, pool, p))
+                .map(|(_, p)| streamed(&source, &cfg.params, pool, p))
                 .collect()
         }),
         Box::new(|| {
@@ -149,9 +138,9 @@ pub fn run_stream_bench(bench: &Benchmark) -> StreamBench {
         }),
     ];
 
-    let mut best = [f64::INFINITY; 3];
-    let mut peak = [0u64; 3];
-    let mut reports: [Vec<SimReport>; 3] = [Vec::new(), Vec::new(), Vec::new()];
+    let mut best = [f64::INFINITY; 2];
+    let mut peak = [0u64; 2];
+    let mut reports: [Vec<SimReport>; 2] = [Vec::new(), Vec::new()];
     for rep in 0..REPS {
         for (i, run) in suites.iter().enumerate() {
             let t0 = Instant::now();
@@ -167,82 +156,29 @@ pub fn run_stream_bench(bench: &Benchmark) -> StreamBench {
     }
     drop(suites);
 
-    let [streamed_reports, sharded_reports, materialized_reports] = reports;
+    let [streamed_reports, materialized_reports] = reports;
     let cost = |i: usize| PathCost {
         wall_secs: best[i],
         peak_kib: peak[i],
     };
-    let (streamed, sharded, materialized) = (cost(0), cost(1), cost(2));
 
     let reports_identical = streamed_reports
         .iter()
-        .zip(&sharded_reports)
         .zip(&materialized_reports)
-        .all(|((s, h), m)| identical(s, m) && identical(h, m));
-    let sharded_path = sharded_reports
-        .first()
-        .map_or("sharded", |r| r.sim_path.label());
+        .all(|(s, m)| identical(s, m));
 
     StreamBench {
         bench: bench.name,
         schemes: policies.iter().map(|(label, _)| *label).collect(),
-        streamed,
-        sharded,
-        materialized,
-        sharded_path,
+        streamed: cost(0),
+        materialized: cost(1),
         reports_identical,
     }
 }
 
-impl StreamBench {
-    /// The `BENCH_streaming.json` document (serde here is an API-only
-    /// stand-in, so the JSON is assembled by hand).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let path = |c: &PathCost| {
-            format!(
-                "{{\"wall_secs\": {:.6}, \"peak_kib\": {}}}",
-                c.wall_secs, c.peak_kib
-            )
-        };
-        let schemes = self
-            .schemes
-            .iter()
-            .map(|s| format!("\"{s}\""))
-            .collect::<Vec<_>>()
-            .join(", ");
-        format!(
-            "{{\n  \"bench\": \"{}\",\n  \"schemes\": [{}],\n  \
-             \"streamed\": {},\n  \"sharded\": {},\n  \"materialized\": {},\n  \
-             \"sharded_path\": \"{}\",\n  \"reports_identical\": {}\n}}\n",
-            self.bench,
-            schemes,
-            path(&self.streamed),
-            path(&self.sharded),
-            path(&self.materialized),
-            self.sharded_path,
-            self.reports_identical,
-        )
-    }
-
-    /// Human-readable summary table rows.
-    #[must_use]
-    pub fn rows(&self) -> Vec<Vec<String>> {
-        [
-            ("streamed", &self.streamed),
-            ("sharded", &self.sharded),
-            ("materialized", &self.materialized),
-        ]
-        .iter()
-        .map(|(label, c)| {
-            vec![
-                (*label).to_string(),
-                format!("{:.3}", c.wall_secs),
-                format!("{}", c.peak_kib),
-            ]
-        })
-        .collect()
-    }
+/// One streamed simulation of `source`.
+fn streamed(source: &GenSource<'_>, params: &DiskParams, pool: DiskPool, p: &Policy) -> SimReport {
+    try_simulate_source_faulted(source, params, pool, p, None).unwrap_or_else(|e| panic!("{e}"))
 }
 
 #[cfg(test)]
@@ -261,14 +197,6 @@ mod tests {
             assert!(r.streamed.peak_kib > 0);
             assert!(r.materialized.peak_kib > 0);
         }
-        let json = r.to_json();
-        assert!(json.contains("\"bench\": \"171.swim\""));
-        assert!(json.contains("\"reports_identical\": true"));
-        // swim is thousands of events on 8 disks — far below the sharded
-        // mode's amortization point, so the suite must have routed to the
-        // sequential fallback (the warm-up pass teaches GenSource its
-        // length).
-        assert_eq!(r.sharded_path, "streamed");
-        assert!(json.contains("\"sharded_path\": \"streamed\""));
+        assert_eq!(r.bench, "171.swim");
     }
 }

@@ -213,7 +213,7 @@ impl<'a> Session<'a> {
     }
 
     /// Runs one scheme through the O(#runs) fast path: the session's
-    /// cached run-compressed traces drive [`sdpm_sim::simulate_runs`].
+    /// cached run-compressed traces drive [`sdpm_sim::try_simulate_runs`].
     /// The report is bit-identical to [`Session::run`] on the same
     /// scheme; only [`sdpm_sim::SimReport::sim_path`] differs.
     #[must_use]
@@ -226,7 +226,8 @@ impl<'a> Session<'a> {
             None => self.base_runs(),
             Some(mode) => self.instrumented_runs(mode),
         };
-        let mut report = sdpm_sim::simulate_runs(runs, &cfg.params, pool, &policy);
+        let mut report = sdpm_sim::try_simulate_runs(runs, &cfg.params, pool, &policy)
+            .unwrap_or_else(|e| panic!("{e}"));
         report.policy = scheme.label().to_string();
         report
     }
@@ -285,8 +286,8 @@ fn scheme_plan(scheme: Scheme, cfg: &PipelineConfig) -> (Option<CmMode>, Policy)
 /// Simulation under a `simulation` phase span, streaming into the
 /// recorder when one is present. The trace was validated when the
 /// session cached it, so it enters the simulator through the stream
-/// interface ([`sdpm_sim::simulate_source`]) without a second
-/// validation pass.
+/// interface ([`sdpm_sim::try_simulate_source_faulted`]) without a
+/// second validation pass.
 fn sim(
     trace: &Trace,
     cfg: &PipelineConfig,
@@ -302,7 +303,8 @@ fn sim(
         });
     }
     let _ = rec;
-    sdpm_sim::simulate_source(trace, &cfg.params, pool, policy)
+    sdpm_sim::try_simulate_source_faulted(trace, &cfg.params, pool, policy, None)
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// `insert_directives`, routed through the recording variant when a

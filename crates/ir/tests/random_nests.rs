@@ -11,7 +11,7 @@ use sdpm_disk::ultrastar36z15;
 use sdpm_ir::conform::linearized_ref;
 use sdpm_ir::segmented_forms;
 use sdpm_layout::DiskPool;
-use sdpm_sim::{simulate, simulate_runs, DrpmConfig, Policy, TpmConfig};
+use sdpm_sim::{simulate, try_simulate_runs, DrpmConfig, Policy, TpmConfig};
 use sdpm_trace::{compress, generate, generate_runs, generate_walk, TraceGenConfig};
 
 const POOL: u32 = 4;
@@ -39,7 +39,7 @@ proptest! {
             Policy::Drpm(DrpmConfig::default()),
         ] {
             let slow = simulate(&t, &params, pool, &policy);
-            let fast = simulate_runs(&runs, &params, pool, &policy);
+            let fast = try_simulate_runs(&runs, &params, pool, &policy).unwrap();
             prop_assert_eq!(&fast, &slow);
             prop_assert_eq!(fast.exec_secs.to_bits(), slow.exec_secs.to_bits());
             prop_assert_eq!(fast.total_energy_j().to_bits(), slow.total_energy_j().to_bits());

@@ -8,7 +8,7 @@ use sdpm_ir::{AffineExpr, ArrayRef, LoopDim, LoopNest, Program, Statement};
 use sdpm_layout::{ArrayFile, DiskId, DiskPool, StorageOrder, Striping};
 use sdpm_obs::json::Value;
 use sdpm_obs::{ChromeTraceRecorder, Event, JsonlRecorder, Metrics, MetricsRecorder, Recorder};
-use sdpm_sim::{simulate_with_recorder, DirectiveConfig, Policy, SimReport};
+use sdpm_sim::{simulate_source_with_recorder, DirectiveConfig, Policy, SimReport};
 use sdpm_trace::{AppEvent, IoRequest, PowerAction, ReqKind, Trace};
 use std::cell::RefCell;
 
@@ -226,7 +226,7 @@ fn misfire_events_classify_hostile_directives() {
         ],
     };
     let rec = MetricsRecorder::new();
-    let r = simulate_with_recorder(
+    let r = simulate_source_with_recorder(
         &t,
         &ultrastar36z15(),
         DiskPool::new(2),
@@ -325,7 +325,7 @@ fn static_replay_agrees_with_dynamic_misfire_metrics() {
     let params = ultrastar36z15();
     let dcfg = DirectiveConfig::default();
     let rec = MetricsRecorder::new();
-    let report = simulate_with_recorder(
+    let report = simulate_source_with_recorder(
         &hostile,
         &params,
         DiskPool::new(2),

@@ -10,14 +10,13 @@
 use crate::error::SimError;
 use crate::policy::{DrpmConfig, Policy, ScheduledAction};
 use crate::report::{GapRecord, MisfireCause, MisfireCauses, PerDiskReport, SimPath, SimReport};
-use crate::shard::DiskOp;
 use sdpm_disk::{
     service_time_secs, tpm_break_even_secs, DiskParams, DiskPowerState, EnergyBreakdown,
     PowerError, PowerStateMachine, RpmLadder, RpmLevel, ServiceRequest,
 };
 use sdpm_fault::{FaultCounts, FaultPlan};
 use sdpm_layout::{DiskId, DiskPool};
-use sdpm_trace::{AppEvent, EventStream, IoRequest, PowerAction, REvent, Run, RunStream, Trace};
+use sdpm_trace::{AppEvent, EventStream, IoRequest, PowerAction, REvent, Run, RunStream};
 
 #[cfg(feature = "obs")]
 use sdpm_obs::{Event as ObsEvent, Recorder};
@@ -26,9 +25,9 @@ use sdpm_obs::{Event as ObsEvent, Recorder};
 /// this aliases to an uninhabited option, so every emission site — and
 /// the event construction inside it — compiles away entirely.
 #[cfg(feature = "obs")]
-type Obs<'a> = Option<&'a dyn Recorder>;
+pub(crate) type Obs<'a> = Option<&'a dyn Recorder>;
 #[cfg(not(feature = "obs"))]
-type Obs<'a> = Option<&'a std::convert::Infallible>;
+pub(crate) type Obs<'a> = Option<&'a std::convert::Infallible>;
 
 /// Emits one observability event, or nothing when the feature is off.
 macro_rules! obs_emit {
@@ -140,11 +139,6 @@ struct DiskRt {
     sched_idx: usize,
     gaps: Vec<GapRecord>,
     requests: u64,
-    /// When set, every top-level machine call is appended to `ops` so the
-    /// sharded mode can replay this disk's exact call sequence against a
-    /// fresh full machine (see [`crate::shard`]).
-    log_ops: bool,
-    ops: Vec<DiskOp>,
     /// Per-disk fault-decision counter: each potential injection site
     /// consumes one draw, so the fault pattern is a pure function of
     /// `(seed, disk, per-disk event order)` — deterministic across
@@ -154,57 +148,6 @@ struct DiskRt {
     /// time the platters actually reach speed (the machine itself still
     /// models the nominal transition; the surplus surfaces as stall).
     slow_ready_at: f64,
-}
-
-/// Machine-call shims: every top-level mutation of the power-state
-/// machine goes through these so the resolve pass of the sharded mode can
-/// record the exact call sequence. A machine's trajectory (and therefore
-/// its energy integral) is a deterministic function of this sequence, so
-/// replaying it bit-reproduces the run — including calls that *fail*,
-/// which must be replayed too because legality checks are part of the
-/// trajectory.
-impl DiskRt {
-    fn advance(&mut self, t: f64) -> Result<(), PowerError> {
-        if self.log_ops {
-            self.ops.push(DiskOp::Advance(t));
-        }
-        self.machine.advance(t)
-    }
-
-    fn spin_down(&mut self, t: f64) -> Result<(), PowerError> {
-        if self.log_ops {
-            self.ops.push(DiskOp::SpinDown(t));
-        }
-        self.machine.spin_down(t)
-    }
-
-    fn spin_up(&mut self, t: f64) -> Result<(), PowerError> {
-        if self.log_ops {
-            self.ops.push(DiskOp::SpinUp(t));
-        }
-        self.machine.spin_up(t)
-    }
-
-    fn set_rpm(&mut self, t: f64, to: RpmLevel) -> Result<(), PowerError> {
-        if self.log_ops {
-            self.ops.push(DiskOp::SetRpm(t, to));
-        }
-        self.machine.set_rpm(t, to)
-    }
-
-    fn begin_service(&mut self, t: f64) -> Result<RpmLevel, PowerError> {
-        if self.log_ops {
-            self.ops.push(DiskOp::BeginService(t));
-        }
-        self.machine.begin_service(t)
-    }
-
-    fn end_service(&mut self, t: f64) -> Result<(), PowerError> {
-        if self.log_ops {
-            self.ops.push(DiskOp::EndService(t));
-        }
-        self.machine.end_service(t)
-    }
 }
 
 /// Mid-run engine state: the per-disk runtimes plus the global clock and
@@ -228,17 +171,21 @@ struct ExecState {
     faults: FaultCounts,
 }
 
-/// Closed-loop trace player. Construct with a policy, [`Engine::run`] a
-/// trace.
-pub struct Engine {
+/// Closed-loop trace player: one engine plays one workload under one
+/// (already lowered) policy, through [`Engine::run_events`] or
+/// [`Engine::run_records`].
+pub(crate) struct Engine {
     params: DiskParams,
     ladder: RpmLadder,
     pool: DiskPool,
     policy: Policy,
     tpm_threshold: f64,
-    /// Disk-level fault injection. `None` keeps every code path — and
-    /// therefore every float operation — bit-identical to the engine
-    /// before fault support existed.
+    /// Disk-level fault injection: transient service failures (bounded
+    /// retry + exponential backoff), stochastic slow spin-ups, and
+    /// stuck-at-RPM transitions, all deterministic in the plan's seed.
+    /// `None` keeps every code path — and therefore every float
+    /// operation — bit-identical to the engine before fault support
+    /// existed.
     faults: Option<FaultPlan>,
 }
 
@@ -246,24 +193,9 @@ impl Engine {
     /// Creates an engine for `pool.count()` identical disks.
     ///
     /// # Panics
-    /// If an ideal policy is passed directly — those are lowered to
-    /// [`Policy::Schedule`] by [`crate::simulate`].
-    #[must_use]
-    pub fn new(params: DiskParams, pool: DiskPool, policy: Policy) -> Self {
-        Self::with_faults(params, pool, policy, None)
-    }
-
-    /// Like [`Engine::new`] with a disk-level [`FaultPlan`] attached:
-    /// transient service failures (bounded retry + exponential backoff),
-    /// stochastic slow spin-ups, and stuck-at-RPM transitions, all
-    /// deterministic in the plan's seed. Pass `None` for the bit-exact
-    /// fault-free engine.
-    ///
-    /// # Panics
-    /// If an ideal policy is passed directly — those are lowered to
-    /// [`Policy::Schedule`] by [`crate::simulate`].
-    #[must_use]
-    pub fn with_faults(
+    /// If an ideal policy is passed directly — the simulator driver
+    /// lowers those to [`Policy::Schedule`] first.
+    pub(crate) fn new(
         params: DiskParams,
         pool: DiskPool,
         policy: Policy,
@@ -290,102 +222,22 @@ impl Engine {
         }
     }
 
-    /// The disk model this engine simulates.
-    pub(crate) fn params(&self) -> &DiskParams {
-        &self.params
-    }
-
-    /// Plays `trace` to completion and reports.
-    #[must_use]
-    pub fn run(&self, trace: &Trace) -> SimReport {
-        self.run_stream(&mut trace.stream())
-    }
-
-    /// Panic-free variant of [`Engine::run`].
-    ///
-    /// # Errors
-    /// A [`SimError`] describing the malformed input or the machine call
-    /// that could not be applied.
-    pub fn try_run(&self, trace: &Trace) -> Result<SimReport, SimError> {
-        self.try_run_stream(&mut trace.stream())
-    }
-
-    /// Plays an event stream to completion and reports. The report is
-    /// bit-identical to [`Engine::run`] on the materialized equivalent —
-    /// chunking does not alter the event sequence.
-    #[must_use]
-    pub fn run_stream(&self, stream: &mut dyn EventStream) -> SimReport {
-        self.run_core(stream, None, false).0
-    }
-
-    /// Panic-free variant of [`Engine::run_stream`]: malformed events,
-    /// corrupt stream bytes (via [`EventStream::try_next_chunk`]), and
-    /// impossible machine transitions surface as a [`SimError`] instead
-    /// of aborting.
-    ///
-    /// # Errors
-    /// A [`SimError`] describing the malformed input.
-    pub fn try_run_stream(&self, stream: &mut dyn EventStream) -> Result<SimReport, SimError> {
-        Ok(self.try_run_core(stream, None, false)?.0)
-    }
-
-    /// Like [`Engine::run`], but streams the run's event sequence into
-    /// `rec` as it unfolds.
-    #[cfg(feature = "obs")]
-    #[must_use]
-    pub fn run_with_recorder(&self, trace: &Trace, rec: &dyn Recorder) -> SimReport {
-        self.run_core(&mut trace.stream(), Some(rec), false).0
-    }
-
-    /// Like [`Engine::run_stream`] with a recorder attached.
-    #[cfg(feature = "obs")]
-    #[must_use]
-    pub fn run_stream_with_recorder(
-        &self,
-        stream: &mut dyn EventStream,
-        rec: &dyn Recorder,
-    ) -> SimReport {
-        self.run_core(stream, Some(rec), false).0
-    }
-
-    /// The engine loop. With `resolve` set, per-disk machines are lean
-    /// (energy integration skipped — the trajectory is unchanged) and
-    /// every top-level machine call is logged per disk, to be replayed in
-    /// parallel by the sharded mode. The returned op logs are empty when
-    /// `resolve` is false.
-    pub(crate) fn run_core(
+    /// Plays an event stream to completion and reports. Malformed
+    /// events, corrupt stream bytes (via [`EventStream::try_next_chunk`]),
+    /// and impossible machine transitions surface as a [`SimError`].
+    pub(crate) fn run_events(
         &self,
         stream: &mut dyn EventStream,
         rec: Obs<'_>,
-        resolve: bool,
-    ) -> (SimReport, Vec<Vec<DiskOp>>) {
-        match self.try_run_core(stream, rec, resolve) {
-            Ok(out) => out,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Panic-free engine loop behind [`Engine::run_core`].
-    pub(crate) fn try_run_core(
-        &self,
-        stream: &mut dyn EventStream,
-        rec: Obs<'_>,
-        resolve: bool,
-    ) -> Result<(SimReport, Vec<Vec<DiskOp>>), SimError> {
-        if stream.pool_size() != self.pool.count() {
-            return Err(SimError::PoolMismatch {
-                stream: stream.pool_size(),
-                pool: self.pool.count(),
-            });
-        }
-        let mut st = self.init_state(rec, resolve);
+    ) -> Result<SimReport, SimError> {
+        let mut st = self.init_state(stream.pool_size(), rec)?;
         while let Some(chunk) = stream.try_next_chunk().map_err(SimError::Codec)? {
             crate::prof::add("sim.events", chunk.len() as u64);
             for event in chunk {
                 self.handle_event(&mut st, event, rec)?;
             }
         }
-        self.finish(st, rec, resolve)
+        self.finish(st, rec)
     }
 
     /// The run-compressed engine loop: plain records go through the
@@ -394,34 +246,14 @@ impl Engine {
     /// policy dispatch or state-machine branching and expands to the
     /// per-event handler exactly where a policy boundary (TPM threshold,
     /// DRPM drift window, scheduled action) lands inside the run. The
-    /// report is bit-identical to [`Engine::run_core`] on the lowered
+    /// report is bit-identical to [`Engine::run_events`] on the lowered
     /// stream (only [`SimReport::sim_path`] differs).
-    pub(crate) fn run_core_runs(
+    pub(crate) fn run_records(
         &self,
         stream: &mut dyn RunStream,
         rec: Obs<'_>,
-        resolve: bool,
-    ) -> (SimReport, Vec<Vec<DiskOp>>) {
-        match self.try_run_core_runs(stream, rec, resolve) {
-            Ok(out) => out,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Panic-free engine loop behind [`Engine::run_core_runs`].
-    pub(crate) fn try_run_core_runs(
-        &self,
-        stream: &mut dyn RunStream,
-        rec: Obs<'_>,
-        resolve: bool,
-    ) -> Result<(SimReport, Vec<Vec<DiskOp>>), SimError> {
-        if stream.pool_size() != self.pool.count() {
-            return Err(SimError::PoolMismatch {
-                stream: stream.pool_size(),
-                pool: self.pool.count(),
-            });
-        }
-        let mut st = self.init_state(rec, resolve);
+    ) -> Result<SimReport, SimError> {
+        let mut st = self.init_state(stream.pool_size(), rec)?;
         while let Some(chunk) = stream.try_next_chunk().map_err(SimError::Codec)? {
             crate::prof::add("sim.records", chunk.len() as u64);
             for record in chunk {
@@ -431,37 +263,25 @@ impl Engine {
                 }
             }
         }
-        let (mut report, ops) = self.finish(st, rec, resolve)?;
+        let mut report = self.finish(st, rec)?;
         report.sim_path = SimPath::RunCompressed;
-        Ok((report, ops))
-    }
-
-    /// Plays a run-compressed stream to completion and reports.
-    #[must_use]
-    pub fn run_runs(&self, stream: &mut dyn RunStream) -> SimReport {
-        self.run_core_runs(stream, None, false).0
-    }
-
-    /// Panic-free variant of [`Engine::run_runs`].
-    ///
-    /// # Errors
-    /// A [`SimError`] describing the malformed input.
-    pub fn try_run_runs(&self, stream: &mut dyn RunStream) -> Result<SimReport, SimError> {
-        Ok(self.try_run_core_runs(stream, None, false)?.0)
+        Ok(report)
     }
 
     /// Per-disk runtimes and global accumulators, positioned at run
-    /// start.
-    fn init_state(&self, rec: Obs<'_>, resolve: bool) -> ExecState {
+    /// start, for a stream generated for `stream_pool` disks.
+    fn init_state(&self, stream_pool: u32, rec: Obs<'_>) -> Result<ExecState, SimError> {
+        if stream_pool != self.pool.count() {
+            return Err(SimError::PoolMismatch {
+                stream: stream_pool,
+                pool: self.pool.count(),
+            });
+        }
         let max = self.ladder.max_level();
         let disks: Vec<DiskRt> = (0..self.pool.count())
             .map(|d| DiskRt {
                 id: DiskId(d),
-                machine: if resolve {
-                    PowerStateMachine::new_lean(self.params.clone())
-                } else {
-                    PowerStateMachine::new(self.params.clone())
-                },
+                machine: PowerStateMachine::new(self.params.clone()),
                 idle_since: 0.0,
                 min_level: max,
                 cur_level: max,
@@ -479,8 +299,6 @@ impl Engine {
                 sched_idx: 0,
                 gaps: Vec::new(),
                 requests: 0,
-                log_ops: resolve,
-                ops: Vec::new(),
                 fault_seq: 0,
                 slow_ready_at: 0.0,
             })
@@ -500,7 +318,7 @@ impl Engine {
         #[cfg(not(feature = "obs"))]
         let _ = rec;
 
-        ExecState {
+        Ok(ExecState {
             disks,
             t: 0.0,
             stall: 0.0,
@@ -508,7 +326,7 @@ impl Engine {
             nreq: 0,
             misfires: MisfireCauses::default(),
             faults: FaultCounts::default(),
-        }
+        })
     }
 
     /// Dispatches one application event against the running state. Both
@@ -749,9 +567,7 @@ impl Engine {
                 // Steady fast path: catch_up is a proven no-op, obs is
                 // off, and the request kind/blocks don't affect service —
                 // only disk, size, and sequentiality do. The machine-call
-                // sequence below is identical to the generic Io arm, so
-                // resolve-mode op logs (and thus the sharded replay)
-                // match too.
+                // sequence below is identical to the generic Io arm.
                 if st.t > rt.idle_since {
                     rt.gaps.push(GapRecord {
                         start: rt.idle_since,
@@ -761,11 +577,13 @@ impl Engine {
                     });
                 }
                 let arrive = st.t.max(rt.machine.now());
-                rt.advance(arrive)
+                rt.machine
+                    .advance(arrive)
                     .map_err(|e| SimError::power("advance to arrival", rt.id, arrive, e))?;
                 let start = st.t.max(rt.machine.now());
                 let start = start.max(rt.machine.now());
                 let level = rt
+                    .machine
                     .begin_service(start)
                     .map_err(|e| SimError::power("begin_service", rt.id, start, e))?;
                 rt.cur_level = level;
@@ -779,7 +597,8 @@ impl Engine {
                     },
                 );
                 let completion = start + svc;
-                rt.end_service(completion)
+                rt.machine
+                    .end_service(completion)
                     .map_err(|e| SimError::power("end_service", rt.id, completion, e))?;
                 rt.requests += 1;
                 let full = fulls[base + j];
@@ -828,12 +647,7 @@ impl Engine {
 
     /// Finalize: bring every disk to the end of execution, closing its
     /// final gap, and fold the per-disk ledgers into the report.
-    fn finish(
-        &self,
-        st: ExecState,
-        rec: Obs<'_>,
-        resolve: bool,
-    ) -> Result<(SimReport, Vec<Vec<DiskOp>>), SimError> {
+    fn finish(&self, st: ExecState, rec: Obs<'_>) -> Result<SimReport, SimError> {
         let ExecState {
             mut disks,
             t,
@@ -847,7 +661,8 @@ impl Engine {
         for rt in &mut disks {
             self.catch_up(rt, exec_secs, &mut misfires, &mut faults, rec)?;
             let end = exec_secs.max(rt.machine.now());
-            rt.advance(end)
+            rt.machine
+                .advance(end)
                 .map_err(|e| SimError::power("finalize advance", rt.id, end, e))?;
             if end > rt.idle_since {
                 obs_emit!(
@@ -879,27 +694,21 @@ impl Engine {
         obs_emit!(rec, ObsEvent::RunEnd { t: exec_secs });
 
         let requests_total = disks.iter().map(|d| d.requests).sum();
-        let mut ops: Vec<Vec<DiskOp>> = Vec::with_capacity(if resolve { disks.len() } else { 0 });
         let per_disk: Vec<PerDiskReport> = disks
             .into_iter()
-            .map(|mut rt| {
-                if resolve {
-                    ops.push(std::mem::take(&mut rt.ops));
-                }
-                PerDiskReport {
-                    requests: rt.requests,
-                    energy: rt.machine.energy().breakdown(),
-                    spin_downs: rt.machine.spin_downs,
-                    spin_ups: rt.machine.spin_ups,
-                    rpm_shifts: rt.machine.rpm_shifts,
-                    gaps: rt.gaps,
-                }
+            .map(|rt| PerDiskReport {
+                requests: rt.requests,
+                energy: rt.machine.energy().breakdown(),
+                spin_downs: rt.machine.spin_downs,
+                spin_ups: rt.machine.spin_ups,
+                rpm_shifts: rt.machine.rpm_shifts,
+                gaps: rt.gaps,
             })
             .collect();
         let energy = per_disk
             .iter()
             .fold(EnergyBreakdown::default(), |acc, d| acc.merged(&d.energy));
-        let report = SimReport {
+        Ok(SimReport {
             policy: self.policy.label().to_string(),
             exec_secs,
             energy,
@@ -914,8 +723,7 @@ impl Engine {
             misfire_causes: misfires,
             faults,
             sim_path: SimPath::Streamed,
-        };
-        Ok((report, ops))
+        })
     }
 
     /// Applies the policy's timed actions for one disk up to time `t`.
@@ -933,7 +741,7 @@ impl Engine {
                 let fire = rt.idle_since + self.tpm_threshold;
                 if fire <= t && matches!(rt.machine.state(), DiskPowerState::Idle { .. }) {
                     let at = fire.max(rt.machine.now());
-                    if rt.spin_down(at).is_ok() {
+                    if rt.machine.spin_down(at).is_ok() {
                         rt.hit_standby = true;
                         obs_transition!(rec, rt, at);
                     } else {
@@ -961,7 +769,8 @@ impl Engine {
                     }
                     // Complete any in-flight shift first.
                     if let DiskPowerState::Shifting { until, .. } = rt.machine.state() {
-                        rt.advance(until)
+                        rt.machine
+                            .advance(until)
                             .map_err(|e| SimError::power("finish shift", rt.id, until, e))?;
                     }
                     let at = fire.max(rt.machine.now());
@@ -986,7 +795,7 @@ impl Engine {
                         }
                     }
                     let target = self.ladder.step_down(rt.cur_level);
-                    if rt.set_rpm(at, target).is_ok() {
+                    if rt.machine.set_rpm(at, target).is_ok() {
                         obs_transition!(rec, rt, at);
                         rt.cur_level = target;
                         rt.min_level = rt.min_level.min(target);
@@ -1083,7 +892,8 @@ impl Engine {
         // finished before `t` are seen as completed (a spin-down that ended
         // an hour ago is a standby disk, not an in-flight transition).
         let arrive = t.max(rt.machine.now());
-        rt.advance(arrive)
+        rt.machine
+            .advance(arrive)
             .map_err(|e| SimError::power("advance to arrival", rt.id, arrive, e))?;
         let start = match rt.machine.state() {
             DiskPowerState::Idle { .. } => t.max(rt.machine.now()),
@@ -1103,16 +913,19 @@ impl Engine {
             DiskPowerState::Standby => {
                 // Demand wake-up: full spin-up penalty.
                 let at = t.max(rt.machine.now());
-                rt.spin_up(at)
+                rt.machine
+                    .spin_up(at)
                     .map_err(|e| SimError::power("spin_up from standby", rt.id, at, e))?;
                 obs_transition!(rec, rt, at);
                 rt.cur_level = self.ladder.max_level();
                 at + self.params.spin_up_secs + self.slow_spinup_extra(rt, at, rec, fc)
             }
             DiskPowerState::SpinningDown { until } => {
-                rt.advance(until)
+                rt.machine
+                    .advance(until)
                     .map_err(|e| SimError::power("finish spin-down", rt.id, until, e))?;
-                rt.spin_up(until)
+                rt.machine
+                    .spin_up(until)
                     .map_err(|e| SimError::power("spin_up after spin-down", rt.id, until, e))?;
                 obs_transition!(rec, rt, until);
                 rt.cur_level = self.ladder.max_level();
@@ -1131,6 +944,7 @@ impl Engine {
         };
         let start = start.max(rt.machine.now());
         let level = rt
+            .machine
             .begin_service(start)
             .map_err(|e| SimError::power("begin_service", rt.id, start, e))?;
         rt.cur_level = level;
@@ -1152,7 +966,8 @@ impl Engine {
             },
         );
         let completion = start + st;
-        rt.end_service(completion)
+        rt.machine
+            .end_service(completion)
             .map_err(|e| SimError::power("end_service", rt.id, completion, e))?;
         obs_emit!(
             rec,
@@ -1242,7 +1057,7 @@ impl Engine {
         // large-stripe behavior).
         if slowdown > cfg.upper_tolerance && rt.cur_level < max {
             let target = RpmLevel((rt.cur_level.0 + 1).min(max.0));
-            if !stuck(rt, fc) && rt.set_rpm(t, target).is_ok() {
+            if !stuck(rt, fc) && rt.machine.set_rpm(t, target).is_ok() {
                 obs_transition!(rec, rt, t);
                 rt.cur_level = target;
             }
@@ -1257,7 +1072,7 @@ impl Engine {
             // Compensate: restore full speed and hold it until the
             // response recovers (the slowdown/restore oscillation the
             // paper describes for large stripe sizes).
-            if !stuck(rt, fc) && rt.set_rpm(t, max).is_ok() {
+            if !stuck(rt, fc) && rt.machine.set_rpm(t, max).is_ok() {
                 obs_transition!(rec, rt, t);
                 rt.cur_level = max;
             }
@@ -1282,11 +1097,12 @@ impl Engine {
             PowerAction::SpinDown => {
                 // Let an in-flight shift finish, then spin down.
                 if let DiskPowerState::Shifting { until, .. } = rt.machine.state() {
-                    rt.advance(until)
+                    rt.machine
+                        .advance(until)
                         .map_err(|e| SimError::power("finish shift", rt.id, until, e))?;
                 }
                 let at = t.max(rt.machine.now());
-                if rt.spin_down(at).is_ok() {
+                if rt.machine.spin_down(at).is_ok() {
                     rt.hit_standby = true;
                     obs_transition!(rec, rt, at);
                     Ok(Ok(()))
@@ -1296,11 +1112,12 @@ impl Engine {
             }
             PowerAction::SpinUp => {
                 if let DiskPowerState::SpinningDown { until } = rt.machine.state() {
-                    rt.advance(until)
+                    rt.machine
+                        .advance(until)
                         .map_err(|e| SimError::power("finish spin-down", rt.id, until, e))?;
                 }
                 let at = t.max(rt.machine.now());
-                if rt.spin_up(at).is_ok() {
+                if rt.machine.spin_up(at).is_ok() {
                     rt.cur_level = self.ladder.max_level();
                     obs_transition!(rec, rt, at);
                     // Injected fault: a directive-issued spin-up that
@@ -1327,7 +1144,8 @@ impl Engine {
                 match rt.machine.state() {
                     DiskPowerState::Shifting { until, .. }
                     | DiskPowerState::SpinningUp { until } => {
-                        rt.advance(until)
+                        rt.machine
+                            .advance(until)
                             .map_err(|e| SimError::power("finish transition", rt.id, until, e))?;
                     }
                     _ => {}
@@ -1352,7 +1170,7 @@ impl Engine {
                     }
                 }
                 let at = t.max(rt.machine.now());
-                if rt.set_rpm(at, level).is_ok() {
+                if rt.machine.set_rpm(at, level).is_ok() {
                     obs_transition!(rec, rt, at);
                     rt.cur_level = level;
                     rt.min_level = rt.min_level.min(level);
@@ -1369,9 +1187,10 @@ impl Engine {
 mod tests {
     use super::*;
     use crate::policy::TpmConfig;
+    use crate::simulate;
     use sdpm_disk::ultrastar36z15;
     use sdpm_layout::DiskId;
-    use sdpm_trace::ReqKind;
+    use sdpm_trace::{ReqKind, Trace};
 
     fn pool() -> DiskPool {
         DiskPool::new(2)
@@ -1411,7 +1230,7 @@ mod tests {
     #[test]
     fn base_run_times_compute_plus_service() {
         let tr = trace(vec![compute(0, 1.0), io(0, 4096, 0, 0), compute(0, 1.0)]);
-        let r = Engine::new(ultrastar36z15(), pool(), Policy::Base).run(&tr);
+        let r = simulate(&tr, &ultrastar36z15(), pool(), &Policy::Base);
         let svc = 0.0034 + 0.002 + 4096.0 / (55.0 * 1024.0 * 1024.0);
         assert!((r.exec_secs - (2.0 + svc)).abs() < 1e-9);
         assert_eq!(r.requests, 1);
@@ -1421,7 +1240,7 @@ mod tests {
     #[test]
     fn base_energy_is_idle_dominated() {
         let tr = trace(vec![compute(0, 10.0)]);
-        let r = Engine::new(ultrastar36z15(), pool(), Policy::Base).run(&tr);
+        let r = simulate(&tr, &ultrastar36z15(), pool(), &Policy::Base);
         // Two disks idling 10 s at 10.2 W.
         assert!((r.total_energy_j() - 2.0 * 102.0).abs() < 1e-6);
     }
@@ -1433,7 +1252,12 @@ mod tests {
             compute(0, 100.0),
             io(0, 4096, 0, 1),
         ]);
-        let r = Engine::new(ultrastar36z15(), pool(), Policy::Tpm(TpmConfig::default())).run(&tr);
+        let r = simulate(
+            &tr,
+            &ultrastar36z15(),
+            pool(),
+            &Policy::Tpm(TpmConfig::default()),
+        );
         let d0 = &r.per_disk[0];
         assert_eq!(d0.spin_downs, 1);
         assert_eq!(d0.spin_ups, 1);
@@ -1446,7 +1270,12 @@ mod tests {
     #[test]
     fn tpm_ignores_short_gaps() {
         let tr = trace(vec![io(0, 4096, 0, 0), compute(0, 5.0), io(0, 4096, 0, 1)]);
-        let r = Engine::new(ultrastar36z15(), pool(), Policy::Tpm(TpmConfig::default())).run(&tr);
+        let r = simulate(
+            &tr,
+            &ultrastar36z15(),
+            pool(),
+            &Policy::Tpm(TpmConfig::default()),
+        );
         assert_eq!(r.per_disk[0].spin_downs, 0);
         assert!(r.stall_secs < 1e-9);
     }
@@ -1459,8 +1288,8 @@ mod tests {
             io(0, 4096, 0, 1),
         ]);
         let p = ultrastar36z15();
-        let base = Engine::new(p.clone(), pool(), Policy::Base).run(&tr);
-        let tpm = Engine::new(p, pool(), Policy::Tpm(TpmConfig::default())).run(&tr);
+        let base = simulate(&tr, &p, pool(), &Policy::Base);
+        let tpm = simulate(&tr, &p, pool(), &Policy::Tpm(TpmConfig::default()));
         assert!(tpm.total_energy_j() < base.total_energy_j());
     }
 
@@ -1468,8 +1297,8 @@ mod tests {
     fn drpm_drifts_down_while_idle_and_saves() {
         let tr = trace(vec![io(0, 4096, 0, 0), compute(0, 60.0), io(0, 4096, 0, 1)]);
         let p = ultrastar36z15();
-        let base = Engine::new(p.clone(), pool(), Policy::Base).run(&tr);
-        let drpm = Engine::new(p, pool(), Policy::Drpm(DrpmConfig::default())).run(&tr);
+        let base = simulate(&tr, &p, pool(), &Policy::Base);
+        let drpm = simulate(&tr, &p, pool(), &Policy::Drpm(DrpmConfig::default()));
         assert!(drpm.total_energy_j() < base.total_energy_j());
         assert!(drpm.per_disk[0].rpm_shifts > 0);
         // The second request finds the disk slow: a real stall.
@@ -1483,7 +1312,7 @@ mod tests {
     fn drpm_untouched_disk_drifts_to_bottom() {
         let tr = trace(vec![compute(0, 30.0)]);
         let p = ultrastar36z15();
-        let r = Engine::new(p, pool(), Policy::Drpm(DrpmConfig::default())).run(&tr);
+        let r = simulate(&tr, &p, pool(), &Policy::Drpm(DrpmConfig::default()));
         // Disk 1 never used: it should have drifted all the way down.
         assert_eq!(r.per_disk[1].gaps.len(), 1);
         assert_eq!(r.per_disk[1].gaps[0].level, RpmLevel::MIN);
@@ -1509,13 +1338,13 @@ mod tests {
             compute(0, back + 0.1), // pre-activation distance
             io(0, 4096, 0, 1),
         ]);
-        let base = Engine::new(p.clone(), pool(), Policy::Base).run(&tr);
-        let cm = Engine::new(
-            p,
+        let base = simulate(&tr, &p, pool(), &Policy::Base);
+        let cm = simulate(
+            &tr,
+            &p,
             pool(),
-            Policy::Directive(DirectiveConfigForTest::default().0),
-        )
-        .run(&tr);
+            &Policy::Directive(DirectiveConfigForTest::default().0),
+        );
         assert!(cm.total_energy_j() < base.total_energy_j());
         // Pre-activation hides the transition: negligible stall.
         assert!(cm.stall_secs < 1e-6, "stall {}", cm.stall_secs);
@@ -1543,16 +1372,16 @@ mod tests {
             compute(0, 11.0), // > 10.9 s spin-up
             io(0, 4096, 0, 1),
         ]);
-        let cm = Engine::new(
-            p.clone(),
+        let cm = simulate(
+            &tr,
+            &p,
             pool(),
-            Policy::Directive(crate::policy::DirectiveConfig::default()),
-        )
-        .run(&tr);
+            &Policy::Directive(crate::policy::DirectiveConfig::default()),
+        );
         assert_eq!(cm.per_disk[0].spin_downs, 1);
         assert_eq!(cm.per_disk[0].spin_ups, 1);
         assert!(cm.stall_secs < 1e-6, "stall {}", cm.stall_secs);
-        let base = Engine::new(p, pool(), Policy::Base).run(&tr);
+        let base = simulate(&tr, &p, pool(), &Policy::Base);
         assert!(cm.total_energy_j() < base.total_energy_j());
     }
 
@@ -1573,12 +1402,12 @@ mod tests {
             compute(0, 2.0), // far less than the 10.9 s spin-up
             io(0, 4096, 0, 1),
         ]);
-        let cm = Engine::new(
-            p,
+        let cm = simulate(
+            &tr,
+            &p,
             pool(),
-            Policy::Directive(crate::policy::DirectiveConfig::default()),
-        )
-        .run(&tr);
+            &Policy::Directive(crate::policy::DirectiveConfig::default()),
+        );
         // The app waits out the remaining ~8.9 s of spin-up.
         assert!(
             cm.stall_secs > 8.0 && cm.stall_secs < 10.0,
@@ -1603,12 +1432,12 @@ mod tests {
             },
             compute(0, 1.0),
         ]);
-        let cm = Engine::new(
-            p,
+        let cm = simulate(
+            &tr,
+            &p,
             pool(),
-            Policy::Directive(crate::policy::DirectiveConfig::default()),
-        )
-        .run(&tr);
+            &Policy::Directive(crate::policy::DirectiveConfig::default()),
+        );
         assert_eq!(cm.misfire_causes.total(), 2);
         assert_eq!(cm.misfire_causes.spin_up_rejected, 1);
         assert_eq!(cm.misfire_causes.off_ladder_level, 1);
@@ -1633,7 +1462,7 @@ mod tests {
             vec![],
         ];
         let tr = trace(vec![compute(0, 20.0), io(0, 4096, 0, 0)]);
-        let r = Engine::new(p, pool(), Policy::schedule(sched)).run(&tr);
+        let r = simulate(&tr, &p, pool(), &Policy::schedule(sched));
         assert_eq!(r.per_disk[0].rpm_shifts, 2);
         assert!(
             r.stall_secs < 1e-6,
@@ -1653,7 +1482,7 @@ mod tests {
             },
             compute(0, 5.0),
         ]);
-        let r = Engine::new(p, pool(), Policy::Base).run(&tr);
+        let r = simulate(&tr, &p, pool(), &Policy::Base);
         assert_eq!(r.per_disk[0].spin_downs, 0);
         assert!((r.exec_secs - 5.0).abs() < 1e-12);
     }
@@ -1662,7 +1491,7 @@ mod tests {
     fn gap_records_cover_execution_for_unused_disk() {
         let p = ultrastar36z15();
         let tr = trace(vec![compute(0, 7.0)]);
-        let r = Engine::new(p, pool(), Policy::Base).run(&tr);
+        let r = simulate(&tr, &p, pool(), &Policy::Base);
         for d in &r.per_disk {
             assert_eq!(d.gaps.len(), 1);
             assert!((d.gaps[0].len_secs() - 7.0).abs() < 1e-12);
@@ -1686,8 +1515,8 @@ mod tests {
                 }),
             ])
         };
-        let seq = Engine::new(p.clone(), pool(), Policy::Base).run(&mk(true));
-        let rnd = Engine::new(p, pool(), Policy::Base).run(&mk(false));
+        let seq = simulate(&mk(true), &p, pool(), &Policy::Base);
+        let rnd = simulate(&mk(false), &p, pool(), &Policy::Base);
         assert!(seq.exec_secs < rnd.exec_secs);
     }
 }

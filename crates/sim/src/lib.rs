@@ -14,7 +14,7 @@
 //! | Base          | [`Policy::Base`] |
 //! | TPM           | [`Policy::Tpm`] (fixed idleness threshold) |
 //! | ITPM          | [`Policy::IdealTpm`] (oracle two-pass) |
-//! | DRPM          | [`Policy::Drpm`] (reactive window heuristic of [10]) |
+//! | DRPM          | [`Policy::Drpm`] (reactive window heuristic of \[10\]) |
 //! | IDRPM         | [`Policy::IdealDrpm`] (oracle two-pass) |
 //! | CMTPM, CMDRPM | [`Policy::Directive`] (executes compiler-inserted calls carried by the trace) |
 //!
@@ -53,7 +53,7 @@
 
 // The engine replays untrusted traces; a stray `unwrap()` on decoded
 // input is a denial-of-service. Failures must flow through `SimError`
-// (or, for the legacy infallible wrappers, an explicit `panic!`).
+// (or, for the infallible `simulate`, an explicit `panic!`).
 // Narrowing and sign-discarding casts silently corrupt replayed values,
 // so each one must be spelled as an audited conversion or carry an
 // allow with its range argument.
@@ -68,7 +68,7 @@
 )]
 #![forbid(unsafe_code)]
 
-pub mod engine;
+mod engine;
 pub mod error;
 pub mod mix;
 pub mod openloop;
@@ -76,27 +76,18 @@ pub mod oracle;
 pub mod policy;
 sdpm_obs::prof_hooks!();
 pub mod report;
-pub mod shard;
 
-pub use engine::Engine;
 pub use error::SimError;
 pub use mix::{simulate_mix, MixPolicy, MixReport, TenantMixReport};
 pub use openloop::{replay_open_loop, replay_open_loop_demuxed, OpenDiskReport, OpenLoopReport};
 pub use policy::{AdaptiveConfig, DirectiveConfig, DrpmConfig, Policy, ScheduledAction, TpmConfig};
 pub use report::{GapRecord, MisfireCause, MisfireCauses, PerDiskReport, SimPath, SimReport};
 
+use engine::{Engine, Obs};
 use sdpm_disk::DiskParams;
 use sdpm_fault::FaultPlan;
 use sdpm_layout::DiskPool;
-use sdpm_trace::{EventSource, EventStream, RunSource, RunStream, Trace};
-
-/// Below this many *events per disk* the sharded mode's fixed costs
-/// (op-log allocation during resolve, thread spawn and replay during the
-/// energy pass) outweigh what parallel energy integration saves, so
-/// [`simulate_sharded`] falls back to the sequential streamed loop when
-/// the source can bound its length up front. The report's
-/// [`SimReport::sim_path`] records which path actually ran.
-pub const SHARD_MIN_EVENTS_PER_DISK: u64 = 4096;
+use sdpm_trace::{EventSource, RunSource, Trace};
 
 /// Simulates `trace` on `pool.count()` disks of model `params` under
 /// `policy`.
@@ -123,62 +114,29 @@ pub fn try_simulate(
     policy: &Policy,
 ) -> Result<SimReport, SimError> {
     trace.validate().map_err(SimError::InvalidTrace)?;
-    try_simulate_source(trace, params, pool, policy)
+    drive(Input::Events(trace), params, pool, policy, None, None)
 }
 
 /// Simulates an event source — a materialized [`Trace`], a lazy
-/// generator ([`sdpm_trace::GenSource`]), or any other re-openable
-/// stream — under `policy`. A *source* rather than a one-shot stream is
-/// required because the oracle policies replay the workload twice (a
-/// Base pass recovers the gap structure, then the derived schedule is
-/// replayed). The report is bit-identical to [`simulate`] on the
-/// materialized equivalent.
+/// generator ([`sdpm_trace::GenSource`]), a decoded byte stream, or any
+/// other re-openable stream — under `policy`, with an optional fault
+/// plan attached to the measured run. A *source* rather than a one-shot
+/// stream is required because the oracle policies replay the workload
+/// twice (a Base pass recovers the gap structure, then the derived
+/// schedule is replayed). With `faults` `None` the report is
+/// bit-identical to [`simulate`] on the materialized equivalent.
 ///
-/// Unlike [`simulate`], the events are not pre-validated — a stream can
-/// only be validated by draining it, which would defeat streaming.
-/// Structurally invalid events surface as panics from the engine.
+/// Unlike [`try_simulate`], the events are not pre-validated — a stream
+/// can only be validated by draining it, which would defeat streaming.
+/// Structurally invalid events surface as errors from the engine.
 ///
-/// # Panics
-/// If `params` fails validation or the stream's pool size does not match
-/// `pool`.
-#[must_use]
-pub fn simulate_source(
-    source: &dyn EventSource,
-    params: &DiskParams,
-    pool: DiskPool,
-    policy: &Policy,
-) -> SimReport {
-    match try_simulate_source(source, params, pool, policy) {
-        Ok(r) => r,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Panic-free variant of [`simulate_source`].
-///
-/// # Errors
-/// A [`SimError`] describing the invalid input.
-pub fn try_simulate_source(
-    source: &dyn EventSource,
-    params: &DiskParams,
-    pool: DiskPool,
-    policy: &Policy,
-) -> Result<SimReport, SimError> {
-    run_sim(source, params, pool, policy, None, |engine, stream| {
-        engine.try_run_stream(stream)
-    })
-}
-
-/// [`try_simulate_source`] with a fault plan attached to the measured
-/// run. Faults perturb the *measured* pass only: the internal Base pass
-/// that oracle policies use to recover the gap structure stays clean,
-/// so the schedule is built from the intended timeline and the injected
-/// faults then stress its replay — the scenario the paper's
-/// estimation-error discussion worries about.
-///
-/// With `faults` `None` (or a plan whose rates are all zero but which
-/// still degrades runs — see [`sdpm_fault::FaultConfig::is_disabled`]),
-/// the report is bit-identical to [`try_simulate_source`].
+/// Faults perturb the *measured* pass only: the internal Base pass that
+/// oracle policies use to recover the gap structure stays clean, so the
+/// schedule is built from the intended timeline and the injected faults
+/// then stress its replay — the scenario the paper's estimation-error
+/// discussion worries about. A plan whose rates are all zero (see
+/// [`sdpm_fault::FaultConfig::is_disabled`]) leaves the report
+/// bit-identical to a fault-free run.
 ///
 /// # Errors
 /// A [`SimError`] describing the invalid input.
@@ -189,83 +147,16 @@ pub fn try_simulate_source_faulted(
     policy: &Policy,
     faults: Option<&FaultPlan>,
 ) -> Result<SimReport, SimError> {
-    run_sim(source, params, pool, policy, faults, |engine, stream| {
-        engine.try_run_stream(stream)
-    })
-}
-
-/// Like [`simulate_source`], but with per-disk energy integration
-/// sharded across threads ([`Engine::run_sharded`]). Bit-identical to
-/// [`simulate_source`] on the same source.
-///
-/// Small workloads don't amortize the sharded mode's fixed costs: when
-/// the source knows its length ([`EventSource::size_hint`]) and it is
-/// below [`SHARD_MIN_EVENTS_PER_DISK`] events per disk, this routes to
-/// the sequential streamed loop instead — same numbers, and the report's
-/// [`SimReport::sim_path`] says which path ran.
-///
-/// # Panics
-/// Same conditions as [`simulate_source`].
-#[must_use]
-pub fn simulate_sharded(
-    source: &dyn EventSource,
-    params: &DiskParams,
-    pool: DiskPool,
-    policy: &Policy,
-) -> SimReport {
-    match try_simulate_sharded(source, params, pool, policy) {
-        Ok(r) => r,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Panic-free variant of [`simulate_sharded`].
-///
-/// # Errors
-/// A [`SimError`] describing the invalid input.
-pub fn try_simulate_sharded(
-    source: &dyn EventSource,
-    params: &DiskParams,
-    pool: DiskPool,
-    policy: &Policy,
-) -> Result<SimReport, SimError> {
-    if let Some(n) = source.size_hint() {
-        if n < u64::from(pool.count()) * SHARD_MIN_EVENTS_PER_DISK {
-            return try_simulate_source(source, params, pool, policy);
-        }
-    }
-    let _sp = prof::span("sim.sharded");
-    run_sim(source, params, pool, policy, None, |engine, stream| {
-        engine.try_run_sharded(stream)
-    })
+    drive(Input::Events(source), params, pool, policy, faults, None)
 }
 
 /// Simulates a run-compressed source — a materialized
 /// [`sdpm_trace::RunTrace`], the analytic generator
 /// ([`sdpm_trace::GenSource`]), or any other re-openable run stream —
-/// through the O(#runs) engine loop ([`Engine::run_runs`]). The report
-/// is bit-identical to [`simulate_source`] on the lowered per-event
-/// equivalent; only the [`SimReport::sim_path`] metadata differs. Oracle
-/// policies run their internal Base pass over the same run-compressed
-/// records.
-///
-/// # Panics
-/// If `params` fails validation or the stream's pool size does not match
-/// `pool`.
-#[must_use]
-pub fn simulate_runs(
-    source: &dyn RunSource,
-    params: &DiskParams,
-    pool: DiskPool,
-    policy: &Policy,
-) -> SimReport {
-    match try_simulate_runs(source, params, pool, policy) {
-        Ok(r) => r,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Panic-free variant of [`simulate_runs`].
+/// through the O(#runs) engine loop. The report is bit-identical to
+/// [`try_simulate_source_faulted`] on the lowered per-event equivalent;
+/// only the [`SimReport::sim_path`] metadata differs. Oracle policies
+/// run their internal Base pass over the same run-compressed records.
 ///
 /// # Errors
 /// A [`SimError`] describing the invalid input.
@@ -279,7 +170,9 @@ pub fn try_simulate_runs(
 }
 
 /// [`try_simulate_runs`] with a fault plan attached to the measured
-/// run; same oracle semantics as [`try_simulate_source_faulted`].
+/// run; same oracle semantics as [`try_simulate_source_faulted`]. Under
+/// a plan every run record degrades to per-event servicing, counted in
+/// [`sdpm_fault::FaultCounts::degraded_expansions`].
 ///
 /// # Errors
 /// A [`SimError`] describing the invalid input.
@@ -290,58 +183,20 @@ pub fn try_simulate_runs_faulted(
     policy: &Policy,
     faults: Option<&FaultPlan>,
 ) -> Result<SimReport, SimError> {
-    let _sp = prof::span("sim.simulate_runs");
-    params.validate().map_err(SimError::InvalidParams)?;
-    let run = |engine: &Engine, stream: &mut dyn RunStream| engine.try_run_runs(stream);
-    let faulted = |p: Policy| Engine::with_faults(params.clone(), pool, p, faults.cloned());
-    match policy {
-        Policy::IdealTpm => {
-            let base = Engine::new(params.clone(), pool, Policy::Base)
-                .try_run_runs(&mut *source.open_runs())?;
-            let sched = oracle::ideal_tpm_schedule(&base, params);
-            run(&faulted(Policy::schedule(sched)), &mut *source.open_runs())
-        }
-        Policy::IdealDrpm => {
-            let base = Engine::new(params.clone(), pool, Policy::Base)
-                .try_run_runs(&mut *source.open_runs())?;
-            let sched = oracle::ideal_drpm_schedule(&base, params);
-            run(&faulted(Policy::schedule(sched)), &mut *source.open_runs())
-        }
-        p => run(&faulted(p.clone()), &mut *source.open_runs()),
-    }
+    drive(Input::Runs(source), params, pool, policy, faults, None)
 }
 
-/// Like [`simulate`], but streams the run's event sequence into `rec`.
+/// Like [`try_simulate_source_faulted`] without faults, but streams the
+/// run's event sequence into `rec`.
 ///
-/// Oracle policies (`IdealTpm`/`IdealDrpm`) run the trace twice; only the
-/// final schedule-replay pass is recorded — the internal Base pass that
-/// recovers the gap structure is an implementation detail, and recording
-/// it would interleave two runs in one stream.
-///
-/// # Panics
-/// Same conditions as [`simulate`].
-#[cfg(feature = "obs")]
-#[must_use]
-pub fn simulate_with_recorder(
-    trace: &Trace,
-    params: &DiskParams,
-    pool: DiskPool,
-    policy: &Policy,
-    rec: &dyn sdpm_obs::Recorder,
-) -> SimReport {
-    if let Err(e) = trace.validate() {
-        panic!("{}", SimError::InvalidTrace(e));
-    }
-    simulate_source_with_recorder(trace, params, pool, policy, rec)
-}
-
-/// Like [`simulate_source`], but streams the (final) run's event
-/// sequence into `rec`. Recorder hooks fire identically to the
-/// materialized [`simulate_with_recorder`] path — both run the same
-/// engine loop over the same event sequence.
+/// Oracle policies (`IdealTpm`/`IdealDrpm`) run the workload twice; only
+/// the final schedule-replay pass is recorded — the internal Base pass
+/// that recovers the gap structure is an implementation detail, and
+/// recording it would interleave two runs in one stream.
 ///
 /// # Panics
-/// Same conditions as [`simulate_source`].
+/// If `params` fails validation, the stream's pool size does not match
+/// `pool`, or an event is malformed.
 #[cfg(feature = "obs")]
 #[must_use]
 pub fn simulate_source_with_recorder(
@@ -351,44 +206,61 @@ pub fn simulate_source_with_recorder(
     policy: &Policy,
     rec: &dyn sdpm_obs::Recorder,
 ) -> SimReport {
-    let out = run_sim(source, params, pool, policy, None, |engine, stream| {
-        Ok(engine.run_stream_with_recorder(stream, rec))
-    });
-    match out {
+    match drive(Input::Events(source), params, pool, policy, None, Some(rec)) {
         Ok(r) => r,
         Err(e) => panic!("{e}"),
     }
 }
 
-/// Shared oracle-aware driver: builds the final engine (with `faults`
-/// attached if given) and hands it plus a fresh stream to `run`. Oracle
-/// policies first replay a clean fault-free Base pass to recover the
-/// gap structure — the derived schedule then meets the faults during
-/// the measured replay.
-fn run_sim(
-    source: &dyn EventSource,
+/// The two forms a workload reaches the engine in.
+#[derive(Clone, Copy)]
+enum Input<'a> {
+    /// Per-event, through [`Engine::run_events`].
+    Events(&'a dyn EventSource),
+    /// Run-compressed, through [`Engine::run_records`].
+    Runs(&'a dyn RunSource),
+}
+
+impl Input<'_> {
+    /// Plays a fresh stream of the input through `engine`.
+    fn run(self, engine: &Engine, rec: Obs<'_>) -> Result<SimReport, SimError> {
+        match self {
+            Input::Events(source) => engine.run_events(&mut *source.open(), rec),
+            Input::Runs(source) => engine.run_records(&mut *source.open_runs(), rec),
+        }
+    }
+}
+
+/// The one simulator driver behind every entry point. Oracle policies
+/// are lowered here: a clean, fault-free, unrecorded Base pass recovers
+/// the gap structure, and the derived schedule is what meets `faults`
+/// and `rec` on the measured pass.
+fn drive(
+    input: Input<'_>,
     params: &DiskParams,
     pool: DiskPool,
     policy: &Policy,
     faults: Option<&FaultPlan>,
-    run: impl Fn(&Engine, &mut dyn EventStream) -> Result<SimReport, SimError>,
+    rec: Obs<'_>,
 ) -> Result<SimReport, SimError> {
-    let _sp = prof::span("sim.simulate");
+    let _sp = prof::span(match input {
+        Input::Events(_) => "sim.simulate",
+        Input::Runs(_) => "sim.simulate_runs",
+    });
     params.validate().map_err(SimError::InvalidParams)?;
-    let faulted = |p: Policy| Engine::with_faults(params.clone(), pool, p, faults.cloned());
-    match policy {
-        Policy::IdealTpm => {
-            let base = Engine::new(params.clone(), pool, Policy::Base)
-                .try_run_stream(&mut *source.open())?;
-            let sched = oracle::ideal_tpm_schedule(&base, params);
-            run(&faulted(Policy::schedule(sched)), &mut *source.open())
+    let policy = match policy {
+        Policy::IdealTpm | Policy::IdealDrpm => {
+            let base = input.run(&Engine::new(params.clone(), pool, Policy::Base, None), None)?;
+            Policy::schedule(if matches!(policy, Policy::IdealTpm) {
+                oracle::ideal_tpm_schedule(&base, params)
+            } else {
+                oracle::ideal_drpm_schedule(&base, params)
+            })
         }
-        Policy::IdealDrpm => {
-            let base = Engine::new(params.clone(), pool, Policy::Base)
-                .try_run_stream(&mut *source.open())?;
-            let sched = oracle::ideal_drpm_schedule(&base, params);
-            run(&faulted(Policy::schedule(sched)), &mut *source.open())
-        }
-        p => run(&faulted(p.clone()), &mut *source.open()),
-    }
+        p => p.clone(),
+    };
+    input.run(
+        &Engine::new(params.clone(), pool, policy, faults.cloned()),
+        rec,
+    )
 }

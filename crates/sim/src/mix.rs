@@ -1,6 +1,6 @@
 //! Shared-pool multi-tenant simulation (the scenario engine's core).
 //!
-//! The closed-loop engine ([`crate::engine`]) models one blocking
+//! The closed-loop engine ([`crate::simulate`]) models one blocking
 //! application on a private pool; the open-loop replay
 //! ([`crate::openloop`]) models fixed arrivals at one pinned spindle
 //! speed. A *mix* is the missing combination: K tenants' request

@@ -8,7 +8,7 @@
 //! arrive at the trace's nominal timestamps and each disk drains a FIFO
 //! queue at a chosen spindle speed.
 //!
-//! The closed-loop engine ([`crate::engine`]) remains the primary model
+//! The closed-loop engine ([`crate::simulate`]) remains the primary model
 //! (it is what execution-time figures need); the open-loop replay serves
 //! to (a) cross-validate service accounting between the two disciplines,
 //! (b) expose queueing effects that the blocking application hides —

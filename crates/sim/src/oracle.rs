@@ -2,7 +2,7 @@
 //!
 //! The ideal schemes of Section 4.2 "assume the existence of an oracle
 //! predictor for detecting idle periods". We realize the oracle by
-//! running the trace once under `Base` — its per-disk [`GapRecord`]s are
+//! running the trace once under `Base` — its per-disk [`GapRecord`](crate::GapRecord)s are
 //! the true idle periods, because the Base timeline is exactly the
 //! timeline an ideal run reproduces (ideal actions never delay a request)
 //! — and then compiling a feasible, optimal per-disk action schedule:
@@ -93,7 +93,6 @@ pub fn schedule_is_well_formed(sched: &[Vec<ScheduledAction>]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Engine;
     use crate::policy::Policy;
     use crate::simulate;
     use sdpm_disk::ultrastar36z15;
@@ -133,7 +132,7 @@ mod tests {
     fn ideal_tpm_skips_sub_break_even_gaps() {
         let p = ultrastar36z15();
         let tr = gap_trace(10.0);
-        let base = Engine::new(p.clone(), DiskPool::new(2), Policy::Base).run(&tr);
+        let base = simulate(&tr, &p, DiskPool::new(2), &Policy::Base);
         let sched = ideal_tpm_schedule(&base, &p);
         assert!(sched[0].is_empty(), "10 s < 15.2 s break-even");
     }
@@ -142,7 +141,7 @@ mod tests {
     fn ideal_tpm_spins_down_long_gaps_with_exact_preactivation() {
         let p = ultrastar36z15();
         let tr = gap_trace(100.0);
-        let base = Engine::new(p.clone(), DiskPool::new(2), Policy::Base).run(&tr);
+        let base = simulate(&tr, &p, DiskPool::new(2), &Policy::Base);
         let sched = ideal_tpm_schedule(&base, &p);
         assert!(schedule_is_well_formed(&sched));
         // Disk 0: the 100 s gap gets a down+up; the final tail gap (1 s)
@@ -165,7 +164,7 @@ mod tests {
     fn ideal_drpm_exploits_mid_size_gaps_tpm_cannot() {
         let p = ultrastar36z15();
         let tr = gap_trace(8.0);
-        let base = Engine::new(p.clone(), DiskPool::new(2), Policy::Base).run(&tr);
+        let base = simulate(&tr, &p, DiskPool::new(2), &Policy::Base);
         let itpm = simulate(&tr, &p, DiskPool::new(2), &Policy::IdealTpm);
         let idrpm = simulate(&tr, &p, DiskPool::new(2), &Policy::IdealDrpm);
         // The 8 s gap is below TPM break-even but plenty for RPM shifts.
@@ -180,7 +179,7 @@ mod tests {
         let p = ultrastar36z15();
         for gap in [0.1, 0.5, 1.0, 3.0, 8.0, 20.0, 120.0] {
             let tr = gap_trace(gap);
-            let base = Engine::new(p.clone(), DiskPool::new(2), Policy::Base).run(&tr);
+            let base = simulate(&tr, &p, DiskPool::new(2), &Policy::Base);
             let idrpm = simulate(&tr, &p, DiskPool::new(2), &Policy::IdealDrpm);
             assert!(
                 idrpm.total_energy_j() <= base.total_energy_j() + 1e-6,
@@ -231,7 +230,7 @@ mod tests {
                 io(1, 4),
             ],
         };
-        let base = Engine::new(p.clone(), DiskPool::new(2), Policy::Base).run(&tr);
+        let base = simulate(&tr, &p, DiskPool::new(2), &Policy::Base);
         assert!(schedule_is_well_formed(&ideal_tpm_schedule(&base, &p)));
         assert!(schedule_is_well_formed(&ideal_drpm_schedule(&base, &p)));
     }

@@ -6,7 +6,7 @@
 
 use sdpm_disk::ultrastar36z15;
 use sdpm_layout::{DiskId, DiskPool};
-use sdpm_sim::{simulate, simulate_runs, DrpmConfig, Policy, SimPath, SimReport, TpmConfig};
+use sdpm_sim::{simulate, try_simulate_runs, DrpmConfig, Policy, SimPath, SimReport, TpmConfig};
 use sdpm_trace::{compress, AppEvent, IoRequest, PowerAction, REvent, ReqKind, Trace};
 
 fn io(disk: u32, block: u64, iter: u64) -> AppEvent {
@@ -52,7 +52,7 @@ fn assert_bitwise(t: &Trace, pool: u32, policy: &Policy, label: &str) -> SimRepo
         "{label}: the trace must compress into at least one run"
     );
     let slow = simulate(t, &params, pool, policy);
-    let fast = simulate_runs(&rt, &params, pool, policy);
+    let fast = try_simulate_runs(&rt, &params, pool, policy).unwrap();
     assert_eq!(fast.sim_path, SimPath::RunCompressed, "{label}");
     assert_eq!(fast, slow, "{label}: reports must match");
     assert_eq!(
@@ -201,7 +201,7 @@ fn directives_between_runs_replay_bitwise() {
         "phases on both sides of the directives must fuse"
     );
     let slow = simulate(&t, &params, DiskPool::new(1), &policy);
-    let fast = simulate_runs(&rt, &params, DiskPool::new(1), &policy);
+    let fast = try_simulate_runs(&rt, &params, DiskPool::new(1), &policy).unwrap();
     assert_eq!(fast, slow);
     assert_eq!(fast.exec_secs.to_bits(), slow.exec_secs.to_bits());
     assert!(slow.per_disk[0].spin_downs > 0, "directive must execute");

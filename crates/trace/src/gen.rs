@@ -288,10 +288,6 @@ pub struct GenSource<'a> {
     program: &'a Program,
     pool: DiskPool,
     config: TraceGenConfig,
-    /// Event count learned from the first fully drained stream; until
-    /// then the source's size is unknown (counting up front would cost a
-    /// full generation pass).
-    learned: std::cell::Cell<Option<u64>>,
 }
 
 impl<'a> GenSource<'a> {
@@ -308,20 +304,13 @@ impl<'a> GenSource<'a> {
             program,
             pool,
             config,
-            learned: std::cell::Cell::new(None),
         }
     }
 }
 
 impl EventSource for GenSource<'_> {
     fn open(&self) -> Box<dyn EventStream + '_> {
-        let mut s = RunGenStream::new(self.program, self.pool, self.config);
-        s.learn = Some(&self.learned);
-        Box::new(s)
-    }
-
-    fn size_hint(&self) -> Option<u64> {
-        self.learned.get()
+        Box::new(RunGenStream::new(self.program, self.pool, self.config))
     }
 }
 

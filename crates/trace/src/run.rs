@@ -316,10 +316,6 @@ impl EventSource for RunTrace {
     fn open(&self) -> Box<dyn EventStream + '_> {
         Box::new(LowerStream::new(self.stream()))
     }
-
-    fn size_hint(&self) -> Option<u64> {
-        Some(self.event_len())
-    }
 }
 
 /// Chunked read-only windows over a materialized [`RunTrace`].
@@ -1119,7 +1115,6 @@ mod tests {
     fn run_trace_is_an_event_source() {
         let t = periodic_trace(12);
         let rt = compress(&t);
-        assert_eq!(rt.size_hint(), Some(t.events.len() as u64));
         let lowered = collect(&mut *EventSource::open(&rt));
         assert_eq!(lowered, t);
     }

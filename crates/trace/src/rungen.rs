@@ -18,8 +18,8 @@
 //! miss iteration — including the first iteration of every segment
 //! where some reference leaves its cached chunk — the generator replays
 //! the walk's per-iteration body verbatim: same ref order, same cache
-//! checks, and the shared [`crate::gen::flush_compute`] /
-//! [`crate::gen::emit_chunk_fetch`] helpers. Cache state therefore
+//! checks, and the shared `gen::flush_compute` /
+//! `gen::emit_chunk_fetch` helpers. Cache state therefore
 //! carries across segment and nest boundaries exactly as in the walk,
 //! and the emitted event sequence is byte-identical to the walk oracle
 //! [`crate::gen::generate_walk`]'s.
@@ -121,11 +121,6 @@ pub struct RunGenStream<'a> {
     plan: Option<NestPlan>,
     buf: Vec<AppEvent>,
     pub(crate) target: usize,
-    /// Events delivered so far; reported to `learn` on exhaustion.
-    counted: u64,
-    /// Where a [`crate::gen::GenSource`] learns its event count from the
-    /// first fully drained pass (its size hint).
-    pub(crate) learn: Option<&'a std::cell::Cell<Option<u64>>>,
 }
 
 impl<'a> RunGenStream<'a> {
@@ -153,8 +148,6 @@ impl<'a> RunGenStream<'a> {
             plan: (!program.nests.is_empty()).then(|| NestPlan::new(program, 0)),
             buf: Vec::new(),
             target: DEFAULT_CHUNK_EVENTS,
-            counted: 0,
-            learn: None,
         }
     }
 
@@ -284,12 +277,8 @@ impl EventStream for RunGenStream<'_> {
             self.step();
         }
         if self.buf.is_empty() {
-            if let Some(cell) = self.learn {
-                cell.set(Some(self.counted));
-            }
             None
         } else {
-            self.counted += self.buf.len() as u64;
             crate::prof::add("gen.events", self.buf.len() as u64);
             crate::prof::add("gen.chunks", 1);
             Some(&self.buf)
@@ -543,9 +532,7 @@ mod tests {
         let pool = DiskPool::new(4);
         let config = cfg(8 * 1024, false);
         let src = GenSource::new(&p, pool, config);
-        assert_eq!(src.size_hint(), None, "size unknown before a drain");
         let a = collect(&mut *EventSource::open(&src));
-        assert_eq!(src.size_hint(), Some(a.events.len() as u64));
         let b = collect_runs(&mut *src.open_runs());
         assert_eq!(b.lower(), a);
         assert_eq!(a, generate(&p, pool, config));

@@ -6,7 +6,7 @@ use sdpm_disk::{ultrastar36z15, RpmLevel};
 use sdpm_fault::{FaultConfig, FaultPlan};
 use sdpm_layout::{DiskId, DiskPool};
 use sdpm_sim::{
-    simulate, try_simulate, try_simulate_runs, try_simulate_runs_faulted, try_simulate_source,
+    simulate, try_simulate, try_simulate_runs, try_simulate_runs_faulted,
     try_simulate_source_faulted, DirectiveConfig, Policy, SimError,
 };
 use sdpm_trace::codec::{decode, encode, CodecError};
@@ -173,8 +173,9 @@ fn malformed_stream_surfaces_typed_error_not_panic() {
         pool_size: 2,
         events: vec![compute(1.0), io(5, 4096)],
     };
-    let err = try_simulate_source(&t, &ultrastar36z15(), DiskPool::new(2), &Policy::Base)
-        .expect_err("out-of-pool disk must be rejected");
+    let err =
+        try_simulate_source_faulted(&t, &ultrastar36z15(), DiskPool::new(2), &Policy::Base, None)
+            .expect_err("out-of-pool disk must be rejected");
     assert!(
         matches!(err, SimError::DiskOutOfRange { disk: 5, pool: 2 }),
         "unexpected error: {err}"
@@ -229,33 +230,64 @@ fn malformed_run_record_surfaces_typed_error_not_panic() {
     assert!(matches!(err, SimError::InvalidRun(_)), "got: {err}");
 }
 
+/// The one simulator driver behind both input forms: per event and run
+/// compressed agree on every report field, with faults off and under
+/// two seeded plans, for every single-trace policy on every kernel. The
+/// only field allowed to differ is the count of run records the
+/// run-compressed loop degraded to per-event servicing.
 #[test]
 fn faults_disabled_is_bit_exact_across_data_paths() {
-    let bench = sdpm_workloads::swim();
-    let cfg = sdpm_bench::config_for(&bench);
-    let pool = DiskPool::new(cfg.disks);
-    let params = cfg.params;
-    let trace = sdpm_trace::generate(&bench.program, pool, bench.gen);
-    let runs = sdpm_trace::compress(&trace);
-    for policy in [Policy::IdealDrpm, Policy::Base] {
-        let clean = simulate(&trace, &params, pool, &policy);
-        let streamed = try_simulate_source_faulted(&trace, &params, pool, &policy, None)
-            .expect("fault-free streamed run succeeds");
-        let compressed = try_simulate_runs_faulted(&runs, &params, pool, &policy, None)
-            .expect("fault-free run-compressed run succeeds");
-        assert_eq!(clean, streamed, "streamed path drifted with faults off");
-        assert_eq!(
-            clean.total_energy_j().to_bits(),
-            streamed.total_energy_j().to_bits()
-        );
-        assert_eq!(
-            clean.total_energy_j().to_bits(),
-            compressed.total_energy_j().to_bits(),
-            "run-compressed path drifted with faults off"
-        );
-        assert_eq!(clean.exec_secs.to_bits(), compressed.exec_secs.to_bits());
-        assert_eq!(clean.faults.total(), 0);
-    }
+    let plans = [
+        None,
+        Some(FaultPlan::new(FaultConfig::uniform(42, 0.01))),
+        Some(FaultPlan::new(FaultConfig::uniform(42, 0.1))),
+    ];
+    sdpm_bench::parallel_map(&sdpm_bench::suite(), |bench| {
+        let cfg = sdpm_bench::config_for(bench);
+        let pool = DiskPool::new(cfg.disks);
+        let params = &cfg.params;
+        let mut session = sdpm_core::Session::new(&bench.program, &cfg);
+        let base = session.base_trace().clone();
+        let instrumented = session.instrumented(sdpm_core::CmMode::Drpm).trace.clone();
+        let directive = Policy::Directive(DirectiveConfig {
+            overhead_secs: cfg.overhead_secs,
+        });
+        for (policy, trace) in [
+            (Policy::Base, &base),
+            (Policy::Tpm(cfg.tpm), &base),
+            (Policy::IdealTpm, &base),
+            (Policy::Drpm(cfg.drpm), &base),
+            (Policy::IdealDrpm, &base),
+            (directive, &instrumented),
+        ] {
+            let runs = sdpm_trace::compress(trace);
+            for plan in &plans {
+                let what = format!("{} {} {:?}", bench.name, policy.label(), plan.is_some());
+                let streamed =
+                    try_simulate_source_faulted(trace, params, pool, &policy, plan.as_ref())
+                        .expect("streamed run succeeds");
+                let mut compressed =
+                    try_simulate_runs_faulted(&runs, params, pool, &policy, plan.as_ref())
+                        .expect("run-compressed run succeeds");
+                if plan.is_none() {
+                    assert_eq!(streamed, simulate(trace, params, pool, &policy), "{what}");
+                    assert_eq!(streamed.faults.total(), 0, "{what}");
+                }
+                compressed.faults.degraded_expansions = streamed.faults.degraded_expansions;
+                assert_eq!(streamed, compressed, "{what}: data paths drifted");
+                assert_eq!(
+                    streamed.total_energy_j().to_bits(),
+                    compressed.total_energy_j().to_bits(),
+                    "{what}"
+                );
+                assert_eq!(
+                    streamed.exec_secs.to_bits(),
+                    compressed.exec_secs.to_bits(),
+                    "{what}"
+                );
+            }
+        }
+    });
 }
 
 #[test]

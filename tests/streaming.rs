@@ -1,12 +1,14 @@
-//! Streaming data-path equivalence: the streamed, sharded, and
-//! materialized simulation paths must produce bit-exact `SimReport`s on
+//! Streaming data-path equivalence: the streamed, lazily generated,
+//! codec-decoded and materialized simulation paths must produce
+//! bit-exact `SimReport`s on
 //! every scheme of every Table 2 kernel, and the shared pipeline
 //! session must generate each benchmark's trace exactly once.
 
 use sdpm_bench::{config_for, parallel_map, suite};
 use sdpm_core::{CmMode, Scheme, Session};
+use sdpm_disk::DiskParams;
 use sdpm_layout::DiskPool;
-use sdpm_sim::{simulate, simulate_sharded, simulate_source, DirectiveConfig, Policy, SimReport};
+use sdpm_sim::{simulate, try_simulate_source_faulted, DirectiveConfig, Policy, SimReport};
 use sdpm_trace::codec::{encode, DecodeStream};
 use sdpm_trace::{EventSource, EventStream, GenSource, Trace};
 
@@ -32,6 +34,16 @@ fn assert_identical(reference: &SimReport, candidate: &SimReport, what: &str) {
         "{what}: energy drifted"
     );
     assert_eq!(reference, candidate, "{what}: reports differ");
+}
+
+/// The fault-free streamed simulation of `source`.
+fn streamed(
+    source: &dyn EventSource,
+    params: &DiskParams,
+    pool: DiskPool,
+    policy: &Policy,
+) -> SimReport {
+    try_simulate_source_faulted(source, params, pool, policy, None).expect("valid stream")
 }
 
 /// The `(policy, trace)` pair a scheme resolves to once the session has
@@ -74,18 +86,14 @@ fn all_paths_agree_bitwise_on_every_scheme_and_kernel() {
             let materialized = simulate(&trace, &cfg.params, pool, &policy);
 
             // Chunked stream over the materialized trace.
-            let streamed = simulate_source(&trace, &cfg.params, pool, &policy);
-            assert_identical(&materialized, &streamed, &format!("{what} streamed"));
-
-            // Sharded energy integration over the same stream.
-            let sharded = simulate_sharded(&trace, &cfg.params, pool, &policy);
-            assert_identical(&materialized, &sharded, &format!("{what} sharded"));
+            let chunked = streamed(&trace, &cfg.params, pool, &policy);
+            assert_identical(&materialized, &chunked, &format!("{what} streamed"));
 
             // Lazy generator stream: no materialized trace at all. Only
             // meaningful for un-instrumented schemes — CM schemes *are*
             // their instrumented trace.
             if !matches!(scheme, Scheme::CmTpm | Scheme::CmDrpm) {
-                let lazy = simulate_source(&gen_source, &cfg.params, pool, &policy);
+                let lazy = streamed(&gen_source, &cfg.params, pool, &policy);
                 assert_identical(&materialized, &lazy, &format!("{what} lazy-generated"));
             }
         }
@@ -97,7 +105,7 @@ fn all_paths_agree_bitwise_on_every_scheme_and_kernel() {
         let policy = Policy::Directive(DirectiveConfig {
             overhead_secs: cfg.overhead_secs,
         });
-        let from_codec = simulate_source(&encoded, &cfg.params, pool, &policy);
+        let from_codec = streamed(&encoded, &cfg.params, pool, &policy);
         let reference = simulate(&inst, &cfg.params, pool, &policy);
         assert_identical(
             &reference,
