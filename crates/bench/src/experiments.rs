@@ -416,6 +416,10 @@ pub fn section2_laptop_vs_server() -> Vec<(String, Vec<SchemeRow>)> {
 /// reactive data-placement alternative the paper cites as \[16\]) and
 /// measure (a) closed-loop energy under TPM/CMDRPM and (b) the open-loop
 /// response-time cost of the concentration.
+///
+/// # Panics
+/// If the open-loop replay rejects a session's base trace, which the
+/// session's validated configuration rules out.
 #[must_use]
 pub fn pdc_study() -> Vec<(String, f64, f64, f64)> {
     let bench = mesa_like();
@@ -423,15 +427,16 @@ pub fn pdc_study() -> Vec<(String, f64, f64, f64)> {
     let pool = sdpm_layout::DiskPool::new(cfg.disks);
     let pdc = sdpm_xform::pdc_layout(&bench.program, pool);
     let base = run_scheme(&bench.program, Scheme::Base, &cfg);
-    let ladder_max = RpmLadder::new(&cfg.params).max_level();
     [("original", &bench.program), ("PDC", &pdc.program)]
         .into_iter()
         .map(|(label, program)| {
             let mut session = Session::new(program, &cfg);
             let cmtpm = session.run(Scheme::CmTpm).normalized_energy(&base);
             let cmdrpm = session.run(Scheme::CmDrpm).normalized_energy(&base);
-            let open =
-                sdpm_sim::replay_open_loop(session.base_trace(), &cfg.params, pool, ladder_max);
+            let open = match sdpm_sim::replay_open_loop(session.base_trace(), &cfg.params, pool) {
+                Ok(r) => r,
+                Err(e) => panic!("PDC open-loop replay: {e}"),
+            };
             (
                 label.to_string(),
                 cmtpm,

@@ -7,12 +7,13 @@
 //! correct timestamps — when the disk is next touched or at finalization,
 //! so the energy integral is exact without a global event queue.
 
+use crate::disk::DiskModel;
 use crate::error::SimError;
 use crate::policy::{DrpmConfig, Policy, ScheduledAction};
-use crate::report::{GapRecord, MisfireCause, MisfireCauses, PerDiskReport, SimPath, SimReport};
+use crate::report::{MisfireCause, MisfireCauses, PerDiskReport, SimPath, SimReport};
 use sdpm_disk::{
-    service_time_secs, tpm_break_even_secs, DiskParams, DiskPowerState, EnergyBreakdown,
-    PowerError, PowerStateMachine, RpmLadder, RpmLevel, ServiceRequest,
+    service_time_secs, tpm_break_even_secs, DiskParams, DiskPowerState, EnergyBreakdown, RpmLadder,
+    RpmLevel, ServiceRequest,
 };
 use sdpm_fault::{FaultCounts, FaultPlan};
 use sdpm_layout::{DiskId, DiskPool};
@@ -57,41 +58,67 @@ macro_rules! obs_transition {
     }};
 }
 
+/// Emits the gap-close event for the gap the disk just recorded.
+macro_rules! obs_gap_close {
+    ($rec:expr, $rt:expr) => {{
+        #[cfg(feature = "obs")]
+        emit_gap_close($rec, $rt);
+        #[cfg(not(feature = "obs"))]
+        {
+            let _ = &$rec;
+        }
+    }};
+}
+
 #[cfg(feature = "obs")]
 fn emit_transition(rec: Obs<'_>, rt: &DiskRt, at: f64) {
     let Some(r) = rec else { return };
-    match rt.machine.state() {
+    let id = rt.disk.id;
+    match rt.disk.machine.state() {
         DiskPowerState::SpinningDown { until } => {
-            r.record(&ObsEvent::SpinDownStart { t: at, disk: rt.id });
+            r.record(&ObsEvent::SpinDownStart { t: at, disk: id });
             r.record(&ObsEvent::SpinDownComplete {
                 t: until,
-                disk: rt.id,
+                disk: id,
                 started: at,
             });
         }
         DiskPowerState::SpinningUp { until } => {
-            r.record(&ObsEvent::SpinUpStart { t: at, disk: rt.id });
+            r.record(&ObsEvent::SpinUpStart { t: at, disk: id });
             r.record(&ObsEvent::SpinUpComplete {
                 t: until,
-                disk: rt.id,
+                disk: id,
                 started: at,
             });
         }
         DiskPowerState::Shifting { from, to, until } => {
             r.record(&ObsEvent::RpmShiftStart {
                 t: at,
-                disk: rt.id,
+                disk: id,
                 from,
                 to,
             });
             r.record(&ObsEvent::RpmShiftComplete {
                 t: until,
-                disk: rt.id,
+                disk: id,
                 started: at,
                 level: to,
             });
         }
         _ => {}
+    }
+}
+
+#[cfg(feature = "obs")]
+fn emit_gap_close(rec: Obs<'_>, rt: &DiskRt) {
+    if let (Some(r), Some(g)) = (rec, rt.disk.gaps.last()) {
+        r.record(&ObsEvent::GapClose {
+            t: g.end,
+            disk: rt.disk.id,
+            opened: g.start,
+            level: g.level,
+            standby: g.standby,
+        });
     }
 }
 
@@ -113,20 +140,12 @@ fn action_level(a: PowerAction) -> Option<RpmLevel> {
     }
 }
 
-/// Per-disk runtime state beyond the power-state machine.
+/// Closed-loop per-disk state: the shared [`DiskModel`] plus the
+/// policy state of the closed-loop rules.
 struct DiskRt {
-    /// Only read by emission sites, which vanish without the feature.
-    #[cfg_attr(not(feature = "obs"), allow(dead_code))]
-    id: DiskId,
-    machine: PowerStateMachine,
-    /// When the current idle gap opened (last service completion, or 0).
-    idle_since: f64,
-    /// Deepest level reached during the current gap.
-    min_level: RpmLevel,
+    disk: DiskModel,
     /// Level the disk is at (or shifting toward).
     cur_level: RpmLevel,
-    /// True if the disk hit standby during the current gap.
-    hit_standby: bool,
     /// Reference time for the next reactive-DRPM drift step.
     drift_mark: f64,
     /// Reactive DRPM: pause drifting after a bad window until a calm one.
@@ -137,8 +156,6 @@ struct DiskRt {
     /// Oracle schedule for this disk (empty unless `Policy::Schedule`).
     sched: Vec<ScheduledAction>,
     sched_idx: usize,
-    gaps: Vec<GapRecord>,
-    requests: u64,
     /// Per-disk fault-decision counter: each potential injection site
     /// consumes one draw, so the fault pattern is a pure function of
     /// `(seed, disk, per-disk event order)` — deterministic across
@@ -280,12 +297,8 @@ impl Engine {
         let max = self.ladder.max_level();
         let disks: Vec<DiskRt> = (0..self.pool.count())
             .map(|d| DiskRt {
-                id: DiskId(d),
-                machine: PowerStateMachine::new(self.params.clone()),
-                idle_since: 0.0,
-                min_level: max,
+                disk: DiskModel::new(DiskId(d), &self.params),
                 cur_level: max,
-                hit_standby: false,
                 drift_mark: 0.0,
                 drift_hold: false,
                 window_sum: 0.0,
@@ -297,8 +310,6 @@ impl Engine {
                     _ => Vec::new(),
                 },
                 sched_idx: 0,
-                gaps: Vec::new(),
-                requests: 0,
                 fault_seq: 0,
                 slow_ready_at: 0.0,
             })
@@ -311,7 +322,7 @@ impl Engine {
                 rec,
                 ObsEvent::GapOpen {
                     t: 0.0,
-                    disk: rt.id
+                    disk: rt.disk.id
                 }
             );
         }
@@ -363,7 +374,7 @@ impl Engine {
                         rec,
                         ObsEvent::DirectiveIssued {
                             t: *t,
-                            disk: rt.id,
+                            disk: rt.disk.id,
                             action: action_label(*action),
                             level: action_level(*action),
                         }
@@ -374,7 +385,7 @@ impl Engine {
                             rec,
                             ObsEvent::DirectiveMisfire {
                                 t: *t,
-                                disk: rt.id,
+                                disk: rt.disk.id,
                                 cause: cause.label(),
                             }
                         );
@@ -394,32 +405,16 @@ impl Engine {
                     rec,
                     ObsEvent::RequestArrived {
                         t: *t,
-                        disk: rt.id,
+                        disk: rt.disk.id,
                         bytes: req.size_bytes,
                         write: matches!(req.kind, sdpm_trace::ReqKind::Write),
                     }
                 );
                 // The request's arrival closes the disk's idle gap.
-                if *t > rt.idle_since {
-                    obs_emit!(
-                        rec,
-                        ObsEvent::GapClose {
-                            t: *t,
-                            disk: rt.id,
-                            opened: rt.idle_since,
-                            level: rt.min_level,
-                            standby: rt.hit_standby,
-                        }
-                    );
-                    rt.gaps.push(GapRecord {
-                        start: rt.idle_since,
-                        end: *t,
-                        level: rt.min_level,
-                        standby: rt.hit_standby,
-                    });
+                if rt.disk.close_gap(*t) {
+                    obs_gap_close!(rec, rt);
                 }
                 let completion = self.service(rt, *t, req, rec, faults)?;
-                rt.requests += 1;
                 let full = service_time_secs(
                     &self.params,
                     &self.ladder,
@@ -436,7 +431,7 @@ impl Engine {
                     rec,
                     ObsEvent::StallAccrued {
                         t: completion,
-                        disk: rt.id,
+                        disk: rt.disk.id,
                         secs: response - full,
                         slowdown,
                     }
@@ -445,13 +440,16 @@ impl Engine {
                     *slow_sum += slowdown;
                     *nreq += 1;
                 }
+                // Serving opened the next gap at the completion.
                 *t = completion;
-                // Open the next gap.
-                rt.idle_since = *t;
-                rt.min_level = rt.cur_level;
-                rt.hit_standby = false;
                 rt.drift_mark = *t;
-                obs_emit!(rec, ObsEvent::GapOpen { t: *t, disk: rt.id });
+                obs_emit!(
+                    rec,
+                    ObsEvent::GapOpen {
+                        t: *t,
+                        disk: rt.disk.id
+                    }
+                );
                 // Reactive DRPM response-window controller.
                 if let Policy::Drpm(cfg) = &self.policy {
                     Self::drpm_window_update(
@@ -476,12 +474,12 @@ impl Engine {
     /// no-op — every guard here is the same predicate `catch_up`
     /// evaluates, so skipping the call cannot change the trajectory.
     fn steady_ok(&self, rt: &DiskRt, t: f64) -> bool {
-        if !matches!(rt.machine.state(), DiskPowerState::Idle { .. }) {
+        if !matches!(rt.disk.machine.state(), DiskPowerState::Idle { .. }) {
             return false;
         }
         match &self.policy {
             Policy::Base | Policy::Directive(_) => true,
-            Policy::Tpm(_) => rt.idle_since + self.tpm_threshold > t,
+            Policy::Tpm(_) => rt.disk.gap_start + self.tpm_threshold > t,
             Policy::Drpm(cfg) => {
                 rt.drift_hold
                     || rt.cur_level == RpmLevel::MIN
@@ -565,42 +563,14 @@ impl Engine {
                     continue;
                 }
                 // Steady fast path: catch_up is a proven no-op, obs is
-                // off, and the request kind/blocks don't affect service —
-                // only disk, size, and sequentiality do. The machine-call
-                // sequence below is identical to the generic Io arm.
-                if st.t > rt.idle_since {
-                    rt.gaps.push(GapRecord {
-                        start: rt.idle_since,
-                        end: st.t,
-                        level: rt.min_level,
-                        standby: rt.hit_standby,
-                    });
-                }
-                let arrive = st.t.max(rt.machine.now());
-                rt.machine
-                    .advance(arrive)
-                    .map_err(|e| SimError::power("advance to arrival", rt.id, arrive, e))?;
-                let start = st.t.max(rt.machine.now());
-                let start = start.max(rt.machine.now());
-                let level = rt
-                    .machine
-                    .begin_service(start)
-                    .map_err(|e| SimError::power("begin_service", rt.id, start, e))?;
-                rt.cur_level = level;
-                let svc = service_time_secs(
-                    &self.params,
-                    &self.ladder,
-                    level,
-                    ServiceRequest {
-                        size_bytes: tpl.io.size_bytes,
-                        sequential: tpl.io.sequential,
-                    },
-                );
-                let completion = start + svc;
-                rt.machine
-                    .end_service(completion)
-                    .map_err(|e| SimError::power("end_service", rt.id, completion, e))?;
-                rt.requests += 1;
+                // off, and the disk is spinning idle, so its demand
+                // wake-up is immediate. The model calls are the generic
+                // Io arm's.
+                rt.disk.close_gap(st.t);
+                let start = st.t.max(rt.disk.machine.now());
+                let served = rt.disk.serve(&self.params, start, &tpl.io)?;
+                rt.cur_level = served.level;
+                let completion = served.completion;
                 let full = fulls[base + j];
                 let response = completion - st.t;
                 let slowdown = if full > 0.0 { response / full } else { 1.0 };
@@ -610,9 +580,6 @@ impl Engine {
                     st.nreq += 1;
                 }
                 st.t = completion;
-                rt.idle_since = st.t;
-                rt.min_level = rt.cur_level;
-                rt.hit_standby = false;
                 rt.drift_mark = st.t;
                 if let Policy::Drpm(cfg) = &self.policy {
                     // The fast path is never taken with faults attached
@@ -660,49 +627,33 @@ impl Engine {
         let exec_secs = t;
         for rt in &mut disks {
             self.catch_up(rt, exec_secs, &mut misfires, &mut faults, rec)?;
-            let end = exec_secs.max(rt.machine.now());
-            rt.machine
-                .advance(end)
-                .map_err(|e| SimError::power("finalize advance", rt.id, end, e))?;
-            if end > rt.idle_since {
-                obs_emit!(
-                    rec,
-                    ObsEvent::GapClose {
-                        t: end,
-                        disk: rt.id,
-                        opened: rt.idle_since,
-                        level: rt.min_level,
-                        standby: rt.hit_standby,
-                    }
-                );
-                rt.gaps.push(GapRecord {
-                    start: rt.idle_since,
-                    end,
-                    level: rt.min_level,
-                    standby: rt.hit_standby,
-                });
+            if rt.disk.finish(exec_secs)? {
+                obs_gap_close!(rec, rt);
             }
             obs_emit!(
                 rec,
                 ObsEvent::DiskEnergy {
-                    t: end,
-                    disk: rt.id,
-                    joules: rt.machine.energy().breakdown().total_j(),
+                    t: rt.disk.machine.now(),
+                    disk: rt.disk.id,
+                    joules: rt.disk.machine.energy().breakdown().total_j(),
                 }
             );
         }
         obs_emit!(rec, ObsEvent::RunEnd { t: exec_secs });
 
-        let requests_total = disks.iter().map(|d| d.requests).sum();
+        let requests_total = disks.iter().map(|d| d.disk.requests).sum();
         let per_disk: Vec<PerDiskReport> = disks
             .into_iter()
-            .map(|rt| PerDiskReport {
-                requests: rt.requests,
-                energy: rt.machine.energy().breakdown(),
-                spin_downs: rt.machine.spin_downs,
-                spin_ups: rt.machine.spin_ups,
-                rpm_shifts: rt.machine.rpm_shifts,
-                gaps: rt.gaps,
+            .map(|rt| {
+                let m = &rt.disk.machine;
+                PerDiskReport {
+                    requests: rt.disk.requests,
+                    energy: m.energy().breakdown(),
+                    spin_downs: m.spin_downs,
+                    spin_ups: m.spin_ups,
+                    rpm_shifts: m.rpm_shifts,
+                    gaps: rt.disk.gaps,
+                }
             })
             .collect();
         let energy = per_disk
@@ -738,11 +689,11 @@ impl Engine {
         match &self.policy {
             Policy::Base | Policy::Directive(_) => {}
             Policy::Tpm(_) => {
-                let fire = rt.idle_since + self.tpm_threshold;
-                if fire <= t && matches!(rt.machine.state(), DiskPowerState::Idle { .. }) {
-                    let at = fire.max(rt.machine.now());
-                    if rt.machine.spin_down(at).is_ok() {
-                        rt.hit_standby = true;
+                let fire = rt.disk.gap_start + self.tpm_threshold;
+                if fire <= t && matches!(rt.disk.machine.state(), DiskPowerState::Idle { .. }) {
+                    let at = fire.max(rt.disk.machine.now());
+                    if rt.disk.machine.spin_down(at).is_ok() {
+                        rt.disk.gap_standby = true;
                         obs_transition!(rec, rt, at);
                     } else {
                         misfires.count(MisfireCause::SpinDownRejected);
@@ -750,7 +701,7 @@ impl Engine {
                             rec,
                             ObsEvent::DirectiveMisfire {
                                 t: at,
-                                disk: rt.id,
+                                disk: rt.disk.id,
                                 cause: MisfireCause::SpinDownRejected.label(),
                             }
                         );
@@ -768,26 +719,27 @@ impl Engine {
                         break;
                     }
                     // Complete any in-flight shift first.
-                    if let DiskPowerState::Shifting { until, .. } = rt.machine.state() {
-                        rt.machine
+                    if let DiskPowerState::Shifting { until, .. } = rt.disk.machine.state() {
+                        rt.disk
+                            .machine
                             .advance(until)
-                            .map_err(|e| SimError::power("finish shift", rt.id, until, e))?;
+                            .map_err(|e| SimError::power("finish shift", rt.disk.id, until, e))?;
                     }
-                    let at = fire.max(rt.machine.now());
+                    let at = fire.max(rt.disk.machine.now());
                     // Injected fault: the actuator sticks at its current
                     // level. Counted both as a fault and as the misfire
                     // the policy observes; drifting stops for this gap.
                     if let Some(plan) = &self.faults {
                         let n = rt.fault_seq;
                         rt.fault_seq += 1;
-                        if plan.stuck_rpm(rt.id.0, n) {
+                        if plan.stuck_rpm(rt.disk.id.0, n) {
                             fc.stuck_rpm += 1;
                             misfires.count(MisfireCause::RpmShiftRejected);
                             obs_emit!(
                                 rec,
                                 ObsEvent::FaultInjected {
                                     t: at,
-                                    disk: rt.id,
+                                    disk: rt.disk.id,
                                     kind: sdpm_fault::kind::STUCK_RPM,
                                 }
                             );
@@ -795,10 +747,10 @@ impl Engine {
                         }
                     }
                     let target = self.ladder.step_down(rt.cur_level);
-                    if rt.machine.set_rpm(at, target).is_ok() {
+                    if rt.disk.machine.set_rpm(at, target).is_ok() {
                         obs_transition!(rec, rt, at);
                         rt.cur_level = target;
-                        rt.min_level = rt.min_level.min(target);
+                        rt.disk.gap_level = rt.disk.gap_level.min(target);
                         rt.drift_mark = at + one_step;
                     } else {
                         misfires.count(MisfireCause::RpmShiftRejected);
@@ -806,7 +758,7 @@ impl Engine {
                             rec,
                             ObsEvent::DirectiveMisfire {
                                 t: at,
-                                disk: rt.id,
+                                disk: rt.disk.id,
                                 cause: MisfireCause::RpmShiftRejected.label(),
                             }
                         );
@@ -822,7 +774,7 @@ impl Engine {
                         rec,
                         ObsEvent::DirectiveIssued {
                             t: a.at,
-                            disk: rt.id,
+                            disk: rt.disk.id,
                             action: action_label(a.action),
                             level: action_level(a.action),
                         }
@@ -833,7 +785,7 @@ impl Engine {
                             rec,
                             ObsEvent::DirectiveMisfire {
                                 t: a.at,
-                                disk: rt.id,
+                                disk: rt.disk.id,
                                 cause: cause.label(),
                             }
                         );
@@ -866,7 +818,7 @@ impl Engine {
             Some(plan) => {
                 let n = rt.fault_seq;
                 rt.fault_seq += 1;
-                let (failed, exhausted) = plan.transient_failures(rt.id.0, n);
+                let (failed, exhausted) = plan.transient_failures(rt.disk.id.0, n);
                 if failed > 0 {
                     fc.transient_failures += 1;
                     fc.retries += u64::from(failed);
@@ -877,7 +829,7 @@ impl Engine {
                         rec,
                         ObsEvent::FaultInjected {
                             t,
-                            disk: rt.id,
+                            disk: rt.disk.id,
                             kind: sdpm_fault::kind::TRANSIENT,
                         }
                     );
@@ -888,95 +840,35 @@ impl Engine {
             }
             None => t,
         };
-        // Bring the machine to the arrival time first, so transitions that
-        // finished before `t` are seen as completed (a spin-down that ended
-        // an hour ago is a standby disk, not an in-flight transition).
-        let arrive = t.max(rt.machine.now());
-        rt.machine
-            .advance(arrive)
-            .map_err(|e| SimError::power("advance to arrival", rt.id, arrive, e))?;
-        let start = match rt.machine.state() {
-            DiskPowerState::Idle { .. } => t.max(rt.machine.now()),
-            DiskPowerState::Active { .. } => {
-                // Unreachable through the closed-loop generator, but a
-                // corrupted trace can interleave arrivals arbitrarily.
-                return Err(SimError::power(
-                    "begin_service (overlapping request)",
-                    rt.id,
-                    t,
-                    PowerError::IllegalTransition {
-                        state: "Active",
-                        event: "begin_service",
-                    },
-                ));
-            }
-            DiskPowerState::Standby => {
-                // Demand wake-up: full spin-up penalty.
-                let at = t.max(rt.machine.now());
-                rt.machine
-                    .spin_up(at)
-                    .map_err(|e| SimError::power("spin_up from standby", rt.id, at, e))?;
-                obs_transition!(rec, rt, at);
-                rt.cur_level = self.ladder.max_level();
-                at + self.params.spin_up_secs + self.slow_spinup_extra(rt, at, rec, fc)
-            }
-            DiskPowerState::SpinningDown { until } => {
-                rt.machine
-                    .advance(until)
-                    .map_err(|e| SimError::power("finish spin-down", rt.id, until, e))?;
-                rt.machine
-                    .spin_up(until)
-                    .map_err(|e| SimError::power("spin_up after spin-down", rt.id, until, e))?;
-                obs_transition!(rec, rt, until);
-                rt.cur_level = self.ladder.max_level();
-                until + self.params.spin_up_secs + self.slow_spinup_extra(rt, until, rec, fc)
-            }
-            DiskPowerState::SpinningUp { until } | DiskPowerState::Shifting { until, .. } => {
-                until.max(t)
-            }
-        };
-        // A directive-issued spin-up that came up slow delays readiness
-        // past the machine's nominal transition end.
-        let start = if self.faults.is_some() {
-            start.max(rt.slow_ready_at)
-        } else {
-            start
-        };
-        let start = start.max(rt.machine.now());
-        let level = rt
-            .machine
-            .begin_service(start)
-            .map_err(|e| SimError::power("begin_service", rt.id, start, e))?;
-        rt.cur_level = level;
+        // Under an injected fault a spin-up can come up slow: one the
+        // wake-up issues adds its surplus here, and a directive-issued
+        // one left its late ready time in `slow_ready_at`.
+        let (mut start, spin_up_at) = rt.disk.wake(t)?;
+        if let Some(at) = spin_up_at {
+            obs_transition!(rec, rt, at);
+            start += self.slow_spinup_extra(rt, at, rec, fc);
+        }
+        if self.faults.is_some() {
+            start = start.max(rt.slow_ready_at);
+        }
+        let served = rt.disk.serve(&self.params, start, req)?;
+        rt.cur_level = served.level;
         obs_emit!(
             rec,
             ObsEvent::ServiceStart {
                 t: start,
-                disk: rt.id,
-                level,
+                disk: rt.disk.id,
+                level: served.level,
             }
         );
-        let st = service_time_secs(
-            &self.params,
-            &self.ladder,
-            level,
-            ServiceRequest {
-                size_bytes: req.size_bytes,
-                sequential: req.sequential,
-            },
-        );
-        let completion = start + st;
-        rt.machine
-            .end_service(completion)
-            .map_err(|e| SimError::power("end_service", rt.id, completion, e))?;
         obs_emit!(
             rec,
             ObsEvent::ServiceEnd {
-                t: completion,
-                disk: rt.id,
+                t: served.completion,
+                disk: rt.disk.id,
             }
         );
-        Ok(completion)
+        Ok(served.completion)
     }
 
     /// Injected fault: a demand spin-up that comes up slower than the
@@ -998,14 +890,14 @@ impl Engine {
         };
         let n = rt.fault_seq;
         rt.fault_seq += 1;
-        let extra = plan.slow_spinup_extra(rt.id.0, n, self.params.spin_up_secs);
+        let extra = plan.slow_spinup_extra(rt.disk.id.0, n, self.params.spin_up_secs);
         if extra > 0.0 {
             fc.slow_spinups += 1;
             obs_emit!(
                 rec,
                 ObsEvent::FaultInjected {
                     t: at,
-                    disk: rt.id,
+                    disk: rt.disk.id,
                     kind: sdpm_fault::kind::SLOW_SPINUP,
                 }
             );
@@ -1035,13 +927,13 @@ impl Engine {
             let Some(plan) = plan else { return false };
             let n = rt.fault_seq;
             rt.fault_seq += 1;
-            if plan.stuck_rpm(rt.id.0, n) {
+            if plan.stuck_rpm(rt.disk.id.0, n) {
                 fc.stuck_rpm += 1;
                 obs_emit!(
                     rec,
                     ObsEvent::FaultInjected {
                         t,
-                        disk: rt.id,
+                        disk: rt.disk.id,
                         kind: sdpm_fault::kind::STUCK_RPM,
                     }
                 );
@@ -1057,7 +949,7 @@ impl Engine {
         // large-stripe behavior).
         if slowdown > cfg.upper_tolerance && rt.cur_level < max {
             let target = RpmLevel((rt.cur_level.0 + 1).min(max.0));
-            if !stuck(rt, fc) && rt.machine.set_rpm(t, target).is_ok() {
+            if !stuck(rt, fc) && rt.disk.machine.set_rpm(t, target).is_ok() {
                 obs_transition!(rec, rt, t);
                 rt.cur_level = target;
             }
@@ -1072,7 +964,7 @@ impl Engine {
             // Compensate: restore full speed and hold it until the
             // response recovers (the slowdown/restore oscillation the
             // paper describes for large stripe sizes).
-            if !stuck(rt, fc) && rt.machine.set_rpm(t, max).is_ok() {
+            if !stuck(rt, fc) && rt.disk.machine.set_rpm(t, max).is_ok() {
                 obs_transition!(rec, rt, t);
                 rt.cur_level = max;
             }
@@ -1096,14 +988,15 @@ impl Engine {
         match action {
             PowerAction::SpinDown => {
                 // Let an in-flight shift finish, then spin down.
-                if let DiskPowerState::Shifting { until, .. } = rt.machine.state() {
-                    rt.machine
+                if let DiskPowerState::Shifting { until, .. } = rt.disk.machine.state() {
+                    rt.disk
+                        .machine
                         .advance(until)
-                        .map_err(|e| SimError::power("finish shift", rt.id, until, e))?;
+                        .map_err(|e| SimError::power("finish shift", rt.disk.id, until, e))?;
                 }
-                let at = t.max(rt.machine.now());
-                if rt.machine.spin_down(at).is_ok() {
-                    rt.hit_standby = true;
+                let at = t.max(rt.disk.machine.now());
+                if rt.disk.machine.spin_down(at).is_ok() {
+                    rt.disk.gap_standby = true;
                     obs_transition!(rec, rt, at);
                     Ok(Ok(()))
                 } else {
@@ -1111,13 +1004,14 @@ impl Engine {
                 }
             }
             PowerAction::SpinUp => {
-                if let DiskPowerState::SpinningDown { until } = rt.machine.state() {
-                    rt.machine
+                if let DiskPowerState::SpinningDown { until } = rt.disk.machine.state() {
+                    rt.disk
+                        .machine
                         .advance(until)
-                        .map_err(|e| SimError::power("finish spin-down", rt.id, until, e))?;
+                        .map_err(|e| SimError::power("finish spin-down", rt.disk.id, until, e))?;
                 }
-                let at = t.max(rt.machine.now());
-                if rt.machine.spin_up(at).is_ok() {
+                let at = t.max(rt.disk.machine.now());
+                if rt.disk.machine.spin_up(at).is_ok() {
                     rt.cur_level = self.ladder.max_level();
                     obs_transition!(rec, rt, at);
                     // Injected fault: a directive-issued spin-up that
@@ -1141,12 +1035,12 @@ impl Engine {
                 if !self.ladder.contains(level) {
                     return Ok(Err(MisfireCause::OffLadderLevel));
                 }
-                match rt.machine.state() {
+                match rt.disk.machine.state() {
                     DiskPowerState::Shifting { until, .. }
                     | DiskPowerState::SpinningUp { until } => {
-                        rt.machine
-                            .advance(until)
-                            .map_err(|e| SimError::power("finish transition", rt.id, until, e))?;
+                        rt.disk.machine.advance(until).map_err(|e| {
+                            SimError::power("finish transition", rt.disk.id, until, e)
+                        })?;
                     }
                     _ => {}
                 }
@@ -1156,24 +1050,24 @@ impl Engine {
                 if let Some(plan) = &self.faults {
                     let n = rt.fault_seq;
                     rt.fault_seq += 1;
-                    if plan.stuck_rpm(rt.id.0, n) {
+                    if plan.stuck_rpm(rt.disk.id.0, n) {
                         fc.stuck_rpm += 1;
                         obs_emit!(
                             rec,
                             ObsEvent::FaultInjected {
                                 t,
-                                disk: rt.id,
+                                disk: rt.disk.id,
                                 kind: sdpm_fault::kind::STUCK_RPM,
                             }
                         );
                         return Ok(Err(MisfireCause::RpmShiftRejected));
                     }
                 }
-                let at = t.max(rt.machine.now());
-                if rt.machine.set_rpm(at, level).is_ok() {
+                let at = t.max(rt.disk.machine.now());
+                if rt.disk.machine.set_rpm(at, level).is_ok() {
                     obs_transition!(rec, rt, at);
                     rt.cur_level = level;
-                    rt.min_level = rt.min_level.min(level);
+                    rt.disk.gap_level = rt.disk.gap_level.min(level);
                     Ok(Ok(()))
                 } else {
                     Ok(Err(MisfireCause::RpmShiftRejected))

@@ -1,11 +1,25 @@
 //! Trace-driven multi-disk power simulator.
 //!
-//! The simulator plays an application event stream ([`sdpm_trace::Trace`])
-//! against a bank of modeled disks and reports execution time and a
-//! per-disk energy breakdown. It is *closed-loop*: the application blocks
-//! on each I/O request, so any extra device latency — low-RPM service, an
-//! in-flight speed shift, a spin-up from standby — lengthens execution
-//! time, which is how the paper's Fig. 4 penalties arise.
+//! One per-disk model — a power-state machine with its energy ledger,
+//! the idle-gap ledger, demand wake-up, the service step and
+//! finalization — runs under three arrival drivers:
+//!
+//! * the closed loop ([`simulate`] and its variants), the primary
+//!   model: the application blocks on each I/O request, so any extra
+//!   device latency — low-RPM service, an in-flight speed shift, a
+//!   spin-up from standby — lengthens execution time, which is how the
+//!   paper's Fig. 4 penalties arise;
+//! * the open-loop replay ([`replay_open_loop`]): requests at fixed
+//!   timestamps, FIFO queues, response times;
+//! * the shared-pool mix ([`simulate_mix`]): several tenants' merged
+//!   streams on one actively managed pool.
+//!
+//! The drivers differ only in when requests arrive and in their policy
+//! rules; the disk itself is modelled once.
+//!
+//! The closed loop plays an application event stream
+//! ([`sdpm_trace::Trace`]) against a bank of modeled disks and reports
+//! execution time and a per-disk energy breakdown.
 //!
 //! Seven schemes from Section 4.2 are covered by five policy kinds:
 //!
@@ -68,6 +82,7 @@
 )]
 #![forbid(unsafe_code)]
 
+mod disk;
 mod engine;
 pub mod error;
 pub mod mix;
@@ -79,7 +94,7 @@ pub mod report;
 
 pub use error::SimError;
 pub use mix::{simulate_mix, MixPolicy, MixReport, TenantMixReport};
-pub use openloop::{replay_open_loop, replay_open_loop_demuxed, OpenDiskReport, OpenLoopReport};
+pub use openloop::{replay_open_loop, OpenDiskReport, OpenLoopReport};
 pub use policy::{AdaptiveConfig, DirectiveConfig, DrpmConfig, Policy, ScheduledAction, TpmConfig};
 pub use report::{GapRecord, MisfireCause, MisfireCauses, PerDiskReport, SimPath, SimReport};
 

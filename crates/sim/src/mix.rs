@@ -2,16 +2,18 @@
 //!
 //! The closed-loop engine ([`crate::simulate`]) models one blocking
 //! application on a private pool; the open-loop replay
-//! ([`crate::openloop`]) models fixed arrivals at one pinned spindle
-//! speed. A *mix* is the missing combination: K tenants' request
+//! ([`crate::openloop`]) models fixed arrivals with no power
+//! management. A *mix* is the missing combination: K tenants' request
 //! streams, merged on one wall clock ([`sdpm_trace::mix`]), arrive
 //! open-loop at a shared pool whose power state is actively managed —
 //! so one tenant's spin-down is another tenant's wake penalty.
 //!
-//! The engine is event-driven over the merged stream. Per disk it keeps
-//! the exact [`PowerStateMachine`] energy accounting of the closed-loop
-//! engine and the FIFO queue/response accounting of the open-loop
-//! replay. Pool-wide power management is a [`MixPolicy`]:
+//! The engine is event-driven over the merged stream, the third driver
+//! over the crate's one per-disk model: each disk is the open-loop
+//! replay's `disk::FifoDisk` (power state, gap ledger, FIFO queue), so
+//! service, wake-up and finalization are shared; the arming and
+//! firing rules below are the mix's own. Pool-wide power management is
+//! a [`MixPolicy`]:
 //!
 //! * `Base` — disks idle at full speed,
 //! * `Tpm` — the classic fixed-threshold reactive spin-down, evaluated
@@ -31,14 +33,12 @@
 //! with no hidden iteration state; identical inputs give bit-identical
 //! [`MixReport`]s.
 
+use crate::disk::{open_reports, FifoDisk};
 use crate::error::SimError;
 use crate::openloop::OpenDiskReport;
 use crate::policy::{AdaptiveConfig, DirectiveConfig, TpmConfig};
-use crate::report::{GapRecord, MisfireCause, MisfireCauses};
-use sdpm_disk::{
-    service_time_secs, tpm_break_even_secs, DiskParams, DiskPowerState, EnergyBreakdown,
-    PowerStateMachine, RpmLadder, RpmLevel, ServiceRequest,
-};
+use crate::report::{MisfireCause, MisfireCauses};
+use sdpm_disk::{tpm_break_even_secs, DiskParams, DiskPowerState, EnergyBreakdown, RpmLadder};
 use sdpm_layout::{DiskId, DiskPool};
 use sdpm_trace::mix::TenantEvent;
 use sdpm_trace::{AppEvent, PowerAction};
@@ -143,22 +143,10 @@ fn p99_sorting(responses: &mut [f64]) -> f64 {
 }
 
 struct MixDisk {
-    machine: PowerStateMachine,
-    /// Completion time of the last admitted service (FIFO head of line).
-    available_at: f64,
-    busy_secs: f64,
-    requests: u64,
-    gaps: Vec<GapRecord>,
-    /// (arrival, completion) of in-flight work, for queue depth.
-    inflight: Vec<(f64, f64)>,
-    max_queue_depth: usize,
+    fifo: FifoDisk,
     /// Absolute time a reactive spin-down fires unless a request
     /// arrives first; re-armed at every service completion.
     sched_down_at: Option<f64>,
-    /// Deepest steady level dwelt at since the last completion.
-    gap_deepest: RpmLevel,
-    /// Whether the current gap reached standby.
-    gap_standby: bool,
     /// EWMA idle-gap prediction (adaptive policy); `None` until the
     /// first gap closes.
     ewma_gap: Option<f64>,
@@ -194,7 +182,6 @@ pub fn simulate_mix(
 ) -> Result<MixReport, SimError> {
     validate(events, tenants, params, pool)?;
     let ladder = RpmLadder::new(params);
-    let max_level = ladder.max_level();
     let break_even = tpm_break_even_secs(params);
 
     // Per-disk arrival table for the cross-tenant lookahead guard.
@@ -210,32 +197,21 @@ pub fn simulate_mix(
         _ => (None, f64::INFINITY, 1.0),
     };
     let mut disks: Vec<MixDisk> = (0..pool.count())
-        .map(|_| {
-            let mut d = MixDisk {
-                machine: PowerStateMachine::new(params.clone()),
-                available_at: 0.0,
-                busy_secs: 0.0,
-                requests: 0,
-                gaps: Vec::new(),
-                inflight: Vec::new(),
-                max_queue_depth: 0,
-                sched_down_at: None,
-                gap_deepest: max_level,
-                gap_standby: false,
-                ewma_gap: None,
-                margin: margin0,
-                next_epoch_end: epoch0,
-                ep_exploited: 0,
-                ep_misfired: 0,
-                ep_missed: 0,
-                next_arrival: 0,
-            };
+        .map(|i| MixDisk {
+            fifo: FifoDisk::new(DiskId(i), params),
             // The leading idle stretch is a gap like any other: TPM arms
             // its threshold from t = 0 (adaptive has no prediction yet).
-            if let MixPolicy::Tpm(c) = policy {
-                d.sched_down_at = Some(c.threshold_secs.unwrap_or(break_even));
-            }
-            d
+            sched_down_at: match policy {
+                MixPolicy::Tpm(c) => Some(c.threshold_secs.unwrap_or(break_even)),
+                _ => None,
+            },
+            ewma_gap: None,
+            margin: margin0,
+            next_epoch_end: epoch0,
+            ep_exploited: 0,
+            ep_misfired: 0,
+            ep_missed: 0,
+            next_arrival: 0,
         })
         .collect();
 
@@ -250,56 +226,23 @@ pub fn simulate_mix(
         let tenant = te.tenant as usize;
         match &te.event {
             AppEvent::Io(req) => {
-                let dk = req.disk;
                 let a = te.at_secs;
-                let d = &mut disks[dk.0 as usize];
+                let d = &mut disks[req.disk.0 as usize];
                 d.next_arrival += 1;
-                d.inflight.retain(|&(_, c)| c > a);
-
-                let ready = if a >= d.available_at {
-                    close_gap(d, a, break_even, adaptive.as_ref(), dk)?
+                if a >= d.fifo.available_at() {
+                    close_gap(d, a, break_even, adaptive.as_ref())?;
                 } else {
                     // Queued behind in-flight work; the disk is spinning.
-                    d.available_at
-                };
+                    d.fifo.arrive(a);
+                }
+                let s = d.fifo.serve(params, a, req)?;
+                arm_reactive(d, s.completion, break_even, policy);
 
-                let start = ready.max(d.available_at);
-                // Completes any in-flight wake ending exactly at `start`.
-                d.machine
-                    .advance(start)
-                    .map_err(|e| SimError::power("mix service advance", dk, start, e))?;
-                let lvl = d
-                    .machine
-                    .begin_service(start)
-                    .map_err(|e| SimError::power("mix begin_service", dk, start, e))?;
-                let st = service_time_secs(
-                    params,
-                    &ladder,
-                    lvl,
-                    ServiceRequest {
-                        size_bytes: req.size_bytes,
-                        sequential: req.sequential,
-                    },
-                );
-                let completion = start + st;
-                d.machine
-                    .end_service(completion)
-                    .map_err(|e| SimError::power("mix end_service", dk, completion, e))?;
-                d.available_at = completion;
-                d.busy_secs += st;
-                d.requests += 1;
-                d.inflight.push((a, completion));
-                d.max_queue_depth = d.max_queue_depth.max(d.inflight.len());
-                d.gap_deepest = lvl;
-                d.gap_standby = false;
-                arm_reactive(d, completion, break_even, policy);
-
-                let response = completion - a;
-                per_tenant_resp[tenant].push(response);
-                per_tenant_busy[tenant] += st;
-                per_tenant_active_j[tenant] += st * ladder.active_power_w(lvl);
+                per_tenant_resp[tenant].push(s.completion - a);
+                per_tenant_busy[tenant] += s.secs;
+                per_tenant_active_j[tenant] += s.secs * ladder.active_power_w(s.level);
                 per_tenant_req[tenant] += 1;
-                makespan = makespan.max(completion);
+                makespan = makespan.max(s.completion);
             }
             AppEvent::Power { disk, action } => {
                 if let MixPolicy::Directive(_) = policy {
@@ -331,34 +274,7 @@ pub fn simulate_mix(
     // the gap's demand boundary is the end of the run, and sleeping a
     // disk nothing will ever wake again is free energy the comparison
     // should not award.
-    let mut energy = EnergyBreakdown::default();
-    let per_disk: Vec<OpenDiskReport> = disks
-        .into_iter()
-        .zip(0u32..)
-        .map(|(mut d, i)| {
-            let end = makespan.max(d.machine.now());
-            d.machine
-                .advance(end)
-                .map_err(|e| SimError::power("mix finalize", DiskId(i), end, e))?;
-            if end > d.available_at {
-                d.gaps.push(GapRecord {
-                    start: d.available_at,
-                    end,
-                    level: d.gap_deepest,
-                    standby: d.gap_standby,
-                });
-            }
-            let e = d.machine.energy().breakdown();
-            energy = energy.merged(&e);
-            Ok(OpenDiskReport {
-                requests: d.requests,
-                busy_secs: d.busy_secs,
-                max_queue_depth: d.max_queue_depth,
-                energy: e,
-                gaps: d.gaps,
-            })
-        })
-        .collect::<Result<_, SimError>>()?;
+    let (per_disk, energy) = open_reports(disks.into_iter().map(|d| d.fifo), makespan)?;
 
     let mut all_resp: Vec<f64> = per_tenant_resp.iter().flatten().copied().collect();
     let requests: u64 = per_tenant_req.iter().sum();
@@ -412,38 +328,31 @@ fn merge_causes(into: &mut MisfireCauses, from: &MisfireCauses) {
     into.cross_tenant += from.cross_tenant;
 }
 
-/// Closes the idle gap `[d.available_at, a]` on an arrival at `a`:
-/// applies the pending reactive spin-down retroactively if it fired
-/// inside the gap, updates the adaptive predictor, records the gap, and
-/// initiates whatever wake the disk's state needs. Returns the earliest
-/// service-ready time.
+/// Closes the idle gap `[available_at, a]` on an arrival at `a` that
+/// finds the disk's queue empty: applies the pending reactive spin-down
+/// retroactively if it fired inside the gap, records the gap, and feeds
+/// it to the adaptive predictor.
 fn close_gap(
     d: &mut MixDisk,
     a: f64,
     break_even: f64,
     adaptive: Option<&AdaptiveConfig>,
-    dk: DiskId,
-) -> Result<f64, SimError> {
-    let idle_start = d.available_at;
-    let gap_len = a - idle_start;
-    let fired = match d.sched_down_at {
+) -> Result<(), SimError> {
+    let gap_len = a - d.fifo.available_at();
+    let fired = match d.sched_down_at.take() {
         Some(sd) if sd < a => {
-            d.machine
-                .advance(sd)
-                .map_err(|e| SimError::power("mix reactive advance", dk, sd, e))?;
             // The schedule only arms while the disk idles spinning, so
             // the spin-down is legal by construction.
-            d.machine
+            let disk = &mut d.fifo.disk;
+            disk.machine
                 .spin_down(sd)
-                .map_err(|e| SimError::power("mix reactive spin_down", dk, sd, e))?;
-            d.gap_standby = true;
+                .map_err(|e| SimError::power("mix reactive spin_down", disk.id, sd, e))?;
+            disk.gap_standby = true;
             true
         }
         _ => false,
     };
-    d.sched_down_at = None;
-
-    if gap_len > 0.0 {
+    if d.fifo.arrive(a) {
         if fired {
             if gap_len >= break_even {
                 d.ep_exploited += 1;
@@ -457,38 +366,8 @@ fn close_gap(
             let prev = d.ewma_gap.unwrap_or(gap_len);
             d.ewma_gap = Some(c.ewma_alpha * gap_len + (1.0 - c.ewma_alpha) * prev);
         }
-        d.gaps.push(GapRecord {
-            start: idle_start,
-            end: a,
-            level: d.gap_deepest,
-            standby: d.gap_standby,
-        });
     }
-
-    d.machine
-        .advance(a)
-        .map_err(|e| SimError::power("mix arrival advance", dk, a, e))?;
-    let ready = match d.machine.state() {
-        DiskPowerState::Standby => {
-            d.machine
-                .spin_up(a)
-                .map_err(|e| SimError::power("mix demand spin_up", dk, a, e))?;
-            d.machine.ready_time()
-        }
-        DiskPowerState::SpinningDown { until } => {
-            // Finish the descent, then turn straight around.
-            d.machine
-                .advance(until)
-                .map_err(|e| SimError::power("mix descent advance", dk, until, e))?;
-            d.machine
-                .spin_up(until)
-                .map_err(|e| SimError::power("mix demand spin_up", dk, until, e))?;
-            d.machine.ready_time()
-        }
-        DiskPowerState::SpinningUp { until } | DiskPowerState::Shifting { until, .. } => until,
-        DiskPowerState::Idle { .. } | DiskPowerState::Active { .. } => a,
-    };
-    Ok(ready)
+    Ok(())
 }
 
 /// Re-arms the reactive spin-down decision at a service completion.
@@ -534,7 +413,7 @@ fn apply_directive(
 ) -> Result<(), SimError> {
     let di = disk.0 as usize;
     let d = &mut disks[di];
-    if tp < d.available_at {
+    if tp < d.fifo.available_at() {
         // The disk is busy or has queued work: the tenant's timeline
         // estimate has already diverged (same taxonomy as closed-loop).
         misfires.count(match action {
@@ -565,6 +444,7 @@ fn apply_directive(
             return Ok(());
         }
     }
+    let d = &mut d.fifo.disk;
     d.machine
         .advance(tp)
         .map_err(|e| SimError::power("mix directive advance", disk, tp, e))?;
@@ -595,7 +475,7 @@ fn apply_directive(
                         d.machine
                             .set_rpm(tp, level)
                             .map_err(|e| SimError::power("mix directive set_rpm", disk, tp, e))?;
-                        d.gap_deepest = d.gap_deepest.min(level);
+                        d.gap_level = d.gap_level.min(level);
                     }
                     _ => misfires.count(MisfireCause::RpmShiftRejected),
                 }
