@@ -8,7 +8,7 @@ use sdpm_layout::DiskPool;
 use sdpm_sim::{simulate, DrpmConfig, Policy};
 use sdpm_trace::codec::{decode, encode};
 use sdpm_trace::generate;
-use sdpm_workloads::galgel;
+use sdpm_workloads::{galgel, mgrid, wupwise};
 use sdpm_xform::{loop_fission, loop_tiling, TilingConfig};
 use std::hint::black_box;
 
@@ -22,9 +22,23 @@ fn bench_analysis(c: &mut Criterion) {
     g.bench_function("disk_activity_walk", |b| {
         b.iter(|| black_box(disk_activity(&bench.program, pool)))
     });
-    g.bench_function("trace_generation", |b| {
-        b.iter(|| black_box(generate(&bench.program, pool, bench.gen)))
-    });
+    g.finish();
+}
+
+/// The generator jumps from cache miss to cache miss, so its work is the
+/// events it emits, not the loop iterations it skips: galgel, wupwise
+/// (a column walk, one segment per column) and mgrid (many small nests).
+fn bench_generation(c: &mut Criterion) {
+    let pool = DiskPool::new(8);
+    let mut g = c.benchmark_group("trace_generation");
+    g.sample_size(10);
+    for bench in [galgel(), wupwise(), mgrid()] {
+        let events = generate(&bench.program, pool, bench.gen).events.len();
+        g.throughput(Throughput::Elements(events as u64));
+        g.bench_function(bench.name, |b| {
+            b.iter(|| black_box(generate(&bench.program, pool, bench.gen)))
+        });
+    }
     g.finish();
 }
 
@@ -137,7 +151,7 @@ fn bench_breakeven(c: &mut Criterion) {
 criterion_group! {
     name = components;
     config = Criterion::default();
-    targets = bench_analysis, bench_instrumentation, bench_simulator,
+    targets = bench_analysis, bench_generation, bench_instrumentation, bench_simulator,
               bench_codec, bench_transforms, bench_breakeven
 }
 criterion_main!(components);

@@ -75,5 +75,5 @@ pub use flat::{flat_form, segmented_form, segmented_forms, FlatForm};
 pub use nest::{ArrayRef, LoopDim, LoopNest, RefKind, Statement};
 pub use pattern::{disk_activity, ActivityMap, IterInterval, NestActivity};
 pub use pretty::{render_nest, render_program};
-pub use program::{ArrayId, NestId, Program};
+pub use program::{ArrayId, NestId, Program, ProgramError};
 pub use walk::walk_nest;

@@ -3,11 +3,40 @@
 use crate::nest::LoopNest;
 use sdpm_layout::{ArrayFile, DiskPool};
 use serde::{Deserialize, Serialize};
+use std::fmt;
 
 /// Index of an array in a program's symbol table.
 pub type ArrayId = usize;
 /// Index of a nest in a program's nest list.
 pub type NestId = usize;
+
+/// Why [`Program::validate`] rejected a program.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ProgramError {
+    /// The array's byte size (element count × element size) exceeds
+    /// `i64::MAX`. Trace generation computes byte offsets in `i64`.
+    ArrayTooLarge {
+        /// Index of the array in the symbol table.
+        array: ArrayId,
+        /// The array's name.
+        name: String,
+    },
+    /// Any other structural defect, described.
+    Invalid(String),
+}
+
+impl fmt::Display for ProgramError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ProgramError::ArrayTooLarge { array, name } => {
+                write!(f, "array {array} ({name}) exceeds i64::MAX bytes")
+            }
+            ProgramError::Invalid(msg) => f.write_str(msg),
+        }
+    }
+}
+
+impl std::error::Error for ProgramError {}
 
 /// An analyzable application: disk-resident arrays, the loop nests that
 /// access them (in execution order), and the machine clock used to convert
@@ -49,8 +78,26 @@ impl Program {
 
     /// Structural validation: every reference must name an existing array
     /// with matching rank and subscript depth, striping must fit `pool`,
-    /// and cycle counts must be positive and finite.
-    pub fn validate(&self, pool: DiskPool) -> Result<(), String> {
+    /// every array must fit in `i64::MAX` bytes, and cycle counts must be
+    /// positive and finite.
+    pub fn validate(&self, pool: DiskPool) -> Result<(), ProgramError> {
+        self.check_structure(pool).map_err(ProgramError::Invalid)?;
+        for (ai, a) in self.arrays.iter().enumerate() {
+            if a.checked_total_bytes()
+                .is_none_or(|b| b > i64::MAX.unsigned_abs())
+            {
+                return Err(ProgramError::ArrayTooLarge {
+                    array: ai,
+                    name: a.name.clone(),
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// The structural checks of [`Program::validate`] other than the
+    /// array-size bound, described.
+    fn check_structure(&self, pool: DiskPool) -> Result<(), String> {
         if self.clock_hz <= 0.0 || !self.clock_hz.is_finite() {
             return Err(format!("bad clock_hz {}", self.clock_hz));
         }
@@ -189,7 +236,7 @@ mod tests {
     fn out_of_bounds_subscript_caught_at_corner() {
         let mut p = valid_program();
         p.nests[0].stmts[0].refs[0].subscripts[0] = AffineExpr::var(1, 0).shifted(1);
-        let err = p.validate(DiskPool::new(8)).unwrap_err();
+        let err = p.validate(DiskPool::new(8)).unwrap_err().to_string();
         assert!(err.contains("evaluates to 100"), "{err}");
     }
 
@@ -220,6 +267,26 @@ mod tests {
     fn striping_that_exceeds_pool_caught() {
         let p = valid_program();
         assert!(p.validate(DiskPool::new(2)).is_err());
+    }
+
+    #[test]
+    fn arrays_beyond_i64_bytes_are_a_typed_error() {
+        let mut p = valid_program();
+        // 2^40 × 2^40 elements overflow u64 before the element size.
+        p.arrays[0].dims = vec![1 << 40, 1 << 40];
+        p.nests[0].stmts[0].refs[0].subscripts = vec![AffineExpr::var(1, 0); 2];
+        let too_large = Err(ProgramError::ArrayTooLarge {
+            array: 0,
+            name: "U1".into(),
+        });
+        assert_eq!(p.validate(DiskPool::new(8)), too_large);
+        assert_eq!(p.arrays[0].checked_total_bytes(), None);
+        // 2^60 elements of 8 bytes fit u64 but not i64.
+        p.arrays[0].dims = vec![1 << 30, 1 << 30];
+        assert_eq!(p.validate(DiskPool::new(8)), too_large);
+        // One column fewer fits: 2^63 - 2^33 bytes.
+        p.arrays[0].dims = vec![1 << 30, (1 << 30) - 1];
+        assert_eq!(p.validate(DiskPool::new(8)), Ok(()));
     }
 
     #[test]

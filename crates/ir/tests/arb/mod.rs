@@ -8,8 +8,12 @@
 //! coefficients (column walks, broadcasts, reversed strides) with
 //! *carried* ones that are affine in the flat index of the loops from a
 //! random split depth inward, so whole-nest, segmented and innermost-only
-//! closed forms ([`sdpm_ir::flat`]) all occur. Every drawn program
-//! passes [`Program::validate`] against the requested pool.
+//! closed forms ([`sdpm_ir::flat`]) all occur. A nest may add a *twin*
+//! of one reference: a second reference to the same array with the same
+//! or the negated subscripts, shifted, so two references on one array
+//! with equal or opposite slopes compete for its cached chunk. Every
+//! drawn program passes [`Program::validate`] against the requested
+//! pool.
 
 use proptest::prelude::*;
 use sdpm_ir::{AffineExpr, ArrayRef, LoopDim, LoopNest, Program, RefKind, Statement};
@@ -46,10 +50,21 @@ struct RefShape {
     carried: Option<(usize, i64)>,
 }
 
+/// A second reference to the array of `refs[of % refs.len()]`: its
+/// subscripts, negated when `negate`, with the storage-fastest one
+/// shifted by `shift` elements, and the opposite access kind.
+#[derive(Debug, Clone)]
+struct TwinShape {
+    of: usize,
+    negate: bool,
+    shift: i64,
+}
+
 #[derive(Debug, Clone)]
 struct NestShape {
     loops: Vec<LoopDim>,
     refs: Vec<RefShape>,
+    twin: Option<TwinShape>,
     cycles_per_iter: f64,
 }
 
@@ -107,13 +122,22 @@ fn ref_shape() -> impl Strategy<Value = RefShape> {
         })
 }
 
+fn twin_shape() -> impl Strategy<Value = TwinShape> {
+    (0usize..3, any::<bool>(), -40i64..=40).prop_map(|(of, negate, shift)| TwinShape {
+        of,
+        negate,
+        shift,
+    })
+}
+
 fn nest_shape() -> impl Strategy<Value = NestShape> {
     (
         proptest::collection::vec(loop_dim(), 1..=4),
         proptest::collection::vec(ref_shape(), 1..=3),
+        prop_oneof![Just(None), twin_shape().prop_map(Some)],
         50.0f64..5000.0,
     )
-        .prop_map(|(mut loops, refs, cycles_per_iter)| {
+        .prop_map(|(mut loops, refs, twin, cycles_per_iter)| {
             while loops.iter().map(|l| l.count).product::<u64>() > MAX_ITERS {
                 let largest = loops.iter_mut().max_by_key(|l| l.count).expect("nonempty");
                 largest.count /= 2;
@@ -121,6 +145,7 @@ fn nest_shape() -> impl Strategy<Value = NestShape> {
             NestShape {
                 loops,
                 refs,
+                twin,
                 cycles_per_iter,
             }
         })
@@ -162,15 +187,17 @@ fn carry(loops: &[LoopDim], random: &[i64], split: usize, slope: i64) -> Vec<i64
 fn assemble(arrays: &[ArrayShape], nests: &[NestShape]) -> Program {
     // Per-array, per-dimension subscript expressions before shifting.
     let mut bound: Vec<(usize, usize, Vec<AffineExpr>, RefKind)> = Vec::new();
+    let fastest = |shape: &ArrayShape| match shape.order {
+        StorageOrder::RowMajor => shape.rank - 1,
+        StorageOrder::ColMajor => 0,
+    };
     for (ni, n) in nests.iter().enumerate() {
         let depth = n.loops.len();
+        let first = bound.len();
         for r in &n.refs {
             let a = r.array % arrays.len();
             let shape = &arrays[a];
-            let fastest = match shape.order {
-                StorageOrder::RowMajor => shape.rank - 1,
-                StorageOrder::ColMajor => 0,
-            };
+            let fastest = fastest(shape);
             let subs = (0..shape.rank)
                 .map(|dim| {
                     let coeffs = match r.carried {
@@ -190,6 +217,34 @@ fn assemble(arrays: &[ArrayShape], nests: &[NestShape]) -> Program {
                 RefKind::Write
             } else {
                 RefKind::Read
+            };
+            bound.push((ni, a, subs, kind));
+        }
+        if let Some(t) = &n.twin {
+            let (_, a, subs, kind) = bound[first + t.of % n.refs.len()].clone();
+            let fastest = fastest(&arrays[a]);
+            let subs = subs
+                .iter()
+                .enumerate()
+                .map(|(dim, e)| {
+                    let e = if t.negate {
+                        AffineExpr {
+                            coeffs: e.coeffs.iter().map(|c| -c).collect(),
+                            constant: -e.constant,
+                        }
+                    } else {
+                        e.clone()
+                    };
+                    if dim == fastest {
+                        e.shifted(t.shift)
+                    } else {
+                        e
+                    }
+                })
+                .collect();
+            let kind = match kind {
+                RefKind::Read => RefKind::Write,
+                RefKind::Write => RefKind::Read,
             };
             bound.push((ni, a, subs, kind));
         }

@@ -52,24 +52,57 @@ proptest! {
     }
 }
 
+/// Each nest of 512 drawn programs: its planned split depth and, per
+/// reference, the array and the in-segment slope of its closed form.
+fn drawn_plans(seed: &str) -> Vec<(usize, Vec<(usize, i128)>)> {
+    let mut rng = proptest::test_runner::TestRng::from_name(seed);
+    let strategy = affine_program(POOL);
+    let mut plans = Vec::new();
+    for _ in 0..512 {
+        let p = strategy.generate(&mut rng);
+        for n in &p.nests {
+            let refs: Vec<_> = n.stmts.iter().flat_map(|s| s.refs.iter()).collect();
+            let lins: Vec<_> = refs
+                .iter()
+                .map(|r| linearized_ref(r, &p.arrays[r.array], p.arrays[r.array].order))
+                .collect();
+            let (split, forms) = segmented_forms(n, &lins);
+            let slopes = refs.iter().zip(forms).map(|(r, f)| (r.array, f.slope));
+            plans.push((split, slopes.collect()));
+        }
+    }
+    plans
+}
+
 /// The strategy reaches every split depth the generator can plan: whole
 /// nest, two intermediate ones, and innermost-only.
 #[test]
 fn draws_cover_every_split_depth() {
     let mut seen = [false; 4];
-    let mut rng = proptest::test_runner::TestRng::from_name("split-coverage");
-    let strategy = affine_program(POOL);
-    for _ in 0..512 {
-        let p = strategy.generate(&mut rng);
-        for n in &p.nests {
-            let lins: Vec<_> = n
-                .stmts
-                .iter()
-                .flat_map(|s| s.refs.iter())
-                .map(|r| linearized_ref(r, &p.arrays[r.array], p.arrays[r.array].order))
-                .collect();
-            seen[segmented_forms(n, &lins).0] = true;
-        }
+    for (split, _) in drawn_plans("split-coverage") {
+        seen[split] = true;
     }
     assert_eq!(seen, [true; 4], "split depths drawn");
+}
+
+/// The strategy draws the shapes where a stale cached next miss would
+/// diverge from the walk: two moving references to one array with equal
+/// slopes, two with opposite slopes, and references moving backwards.
+#[test]
+fn draws_cover_shared_arrays_and_negative_slopes() {
+    let (mut equal, mut opposite, mut negative) = (false, false, false);
+    for (_, refs) in drawn_plans("slope-coverage") {
+        negative |= refs.iter().any(|&(_, s)| s < 0);
+        for (i, &(a, s)) in refs.iter().enumerate() {
+            for &(b, t) in &refs[i + 1..] {
+                if a == b && s != 0 {
+                    equal |= s == t;
+                    opposite |= s == -t;
+                }
+            }
+        }
+    }
+    assert!(equal, "equal slopes on one array drawn");
+    assert!(opposite, "opposite slopes on one array drawn");
+    assert!(negative, "negative slopes drawn");
 }

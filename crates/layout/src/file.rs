@@ -50,10 +50,23 @@ pub struct ArrayFile {
 }
 
 impl ArrayFile {
+    /// Total array size in bytes, or `None` when it overflows `u64`.
+    #[must_use]
+    pub fn checked_total_bytes(&self) -> Option<u64> {
+        self.dims
+            .iter()
+            .try_fold(self.element_bytes, |acc, &d| acc.checked_mul(d))
+    }
+
     /// Total array size in bytes.
+    ///
+    /// # Panics
+    /// If the size overflows `u64` (`Program::validate` rejects such
+    /// arrays).
     #[must_use]
     pub fn total_bytes(&self) -> u64 {
-        self.dims.iter().product::<u64>() * self.element_bytes
+        self.checked_total_bytes()
+            .unwrap_or_else(|| panic!("array {} overflows u64 bytes", self.name))
     }
 
     /// Total element count.
@@ -92,9 +105,13 @@ impl ArrayFile {
     }
 
     /// Maps the *linear element* range `[first, first + count)` (in
-    /// storage order) to block-addressed per-disk extents.
-    #[must_use]
-    pub fn map_elements(&self, pool: DiskPool, first: u64, count: u64) -> Vec<FileExtent> {
+    /// storage order) to block-addressed per-disk extents, in file order.
+    pub fn map_elements(
+        &self,
+        pool: DiskPool,
+        first: u64,
+        count: u64,
+    ) -> impl Iterator<Item = FileExtent> {
         debug_assert!(
             first + count <= self.element_count(),
             "element range [{first}, {}) exceeds array of {}",
@@ -107,19 +124,22 @@ impl ArrayFile {
     }
 
     /// Maps the file byte range `[offset, offset + len)` to block-addressed
-    /// per-disk extents.
-    #[must_use]
-    pub fn map_bytes(&self, pool: DiskPool, offset: u64, len: u64) -> Vec<FileExtent> {
+    /// per-disk extents, in file order, without allocating.
+    pub fn map_bytes(
+        &self,
+        pool: DiskPool,
+        offset: u64,
+        len: u64,
+    ) -> impl Iterator<Item = FileExtent> {
+        let base_block = self.base_block;
         self.striping
             .map_range(pool, offset, len)
-            .into_iter()
-            .map(|e: StripeExtent| FileExtent {
+            .map(move |e: StripeExtent| FileExtent {
                 disk: e.disk,
-                start_block: self.base_block + e.disk_offset / BLOCK_BYTES,
+                start_block: base_block + e.disk_offset / BLOCK_BYTES,
                 block_offset: e.disk_offset % BLOCK_BYTES,
                 len: e.len,
             })
-            .collect()
     }
 
     /// Re-stripes the file (the DL part of the Fig. 11/12 transformations):
@@ -179,7 +199,7 @@ mod tests {
     #[test]
     fn map_elements_is_block_addressed() {
         let (pool, f) = file_4s();
-        let extents = f.map_elements(pool, 0, 256);
+        let extents: Vec<_> = f.map_elements(pool, 0, 256).collect();
         assert_eq!(extents.len(), 2);
         assert_eq!(extents[0].disk, DiskId(0));
         assert_eq!(extents[0].start_block, 100);
@@ -191,7 +211,7 @@ mod tests {
     #[test]
     fn unaligned_byte_range_carries_block_offset() {
         let (pool, f) = file_4s();
-        let extents = f.map_bytes(pool, 700, 100);
+        let extents: Vec<_> = f.map_bytes(pool, 700, 100).collect();
         assert_eq!(extents.len(), 1);
         assert_eq!(extents[0].disk, DiskId(0));
         assert_eq!(extents[0].start_block, 100 + 700 / BLOCK_BYTES);
@@ -253,8 +273,7 @@ mod tests {
     #[test]
     fn map_elements_total_length_matches() {
         let (pool, f) = file_4s();
-        let extents = f.map_elements(pool, 100, 300);
-        let total: u64 = extents.iter().map(|e| e.len).sum();
+        let total: u64 = f.map_elements(pool, 100, 300).map(|e| e.len).sum();
         assert_eq!(total, 300 * 8);
     }
 }

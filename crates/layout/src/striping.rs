@@ -105,40 +105,19 @@ impl Striping {
             .collect()
     }
 
-    /// Splits the file byte range `[offset, offset + len)` into per-disk
-    /// extents, in file order. Adjacent extents that land on the same disk
-    /// *and* are contiguous on that disk (only possible when
-    /// `stripe_factor == 1`) are merged.
+    /// The per-disk extents of the file byte range `[offset, offset +
+    /// len)`, in file order, without allocating. Each extent is the rest
+    /// of one stripe unit; with a single disk (`stripe_factor == 1`)
+    /// consecutive units are contiguous on it, so the whole range is one
+    /// extent.
     #[must_use]
-    pub fn map_range(&self, pool: DiskPool, offset: u64, len: u64) -> Vec<StripeExtent> {
-        let mut out: Vec<StripeExtent> = Vec::new();
-        let mut cur = offset;
-        let end = offset + len;
-        while cur < end {
-            let stripe = cur / self.stripe_bytes;
-            let stripe_end = (stripe + 1) * self.stripe_bytes;
-            let run = stripe_end.min(end) - cur;
-            let disk = self.disk_for_stripe(pool, stripe);
-            let disk_offset = self.disk_offset_of(cur);
-            if let Some(last) = out.last_mut() {
-                if last.disk == disk
-                    && last.file_offset + last.len == cur
-                    && last.disk_offset + last.len == disk_offset
-                {
-                    last.len += run;
-                    cur += run;
-                    continue;
-                }
-            }
-            out.push(StripeExtent {
-                disk,
-                file_offset: cur,
-                disk_offset,
-                len: run,
-            });
-            cur += run;
+    pub fn map_range(&self, pool: DiskPool, offset: u64, len: u64) -> StripeExtents {
+        StripeExtents {
+            striping: *self,
+            pool,
+            cur: offset,
+            end: offset + len,
         }
-        out
     }
 
     /// Bytes of the file range `[offset, offset + len)` that land on
@@ -146,10 +125,45 @@ impl Striping {
     #[must_use]
     pub fn bytes_on_disk(&self, pool: DiskPool, offset: u64, len: u64, disk: DiskId) -> u64 {
         self.map_range(pool, offset, len)
-            .iter()
             .filter(|e| e.disk == disk)
             .map(|e| e.len)
             .sum()
+    }
+}
+
+/// The extents of one byte range; see [`Striping::map_range`].
+#[derive(Debug, Clone)]
+pub struct StripeExtents {
+    striping: Striping,
+    pool: DiskPool,
+    cur: u64,
+    end: u64,
+}
+
+impl Iterator for StripeExtents {
+    type Item = StripeExtent;
+
+    fn next(&mut self) -> Option<StripeExtent> {
+        if self.cur >= self.end {
+            return None;
+        }
+        let s = &self.striping;
+        let factor = u64::from(s.stripe_factor);
+        let stripe = self.cur / s.stripe_bytes;
+        let unit_start = stripe * s.stripe_bytes;
+        let run_end = if factor == 1 {
+            self.end
+        } else {
+            unit_start.saturating_add(s.stripe_bytes).min(self.end)
+        };
+        let ext = StripeExtent {
+            disk: s.disk_for_stripe(self.pool, stripe),
+            file_offset: self.cur,
+            disk_offset: stripe / factor * s.stripe_bytes + (self.cur - unit_start),
+            len: run_end - self.cur,
+        };
+        self.cur = run_end;
+        Some(ext)
     }
 }
 
@@ -176,7 +190,7 @@ mod tests {
         }
         // First half of the file (2S bytes) touches exactly disks 0 and 1,
         // as the paper's walkthrough of the first loop nest says.
-        let extents = striping.map_range(pool, 0, 2 * s);
+        let extents: Vec<_> = striping.map_range(pool, 0, 2 * s).collect();
         let disks: Vec<_> = extents.iter().map(|e| e.disk).collect();
         assert_eq!(disks, vec![DiskId(0), DiskId(1)]);
     }
@@ -231,7 +245,7 @@ mod tests {
     fn map_range_covers_exactly_the_request() {
         let s = Striping::default_paper();
         let p = pool8();
-        let extents = s.map_range(p, 1000, 300_000);
+        let extents: Vec<_> = s.map_range(p, 1000, 300_000).collect();
         let total: u64 = extents.iter().map(|e| e.len).sum();
         assert_eq!(total, 300_000);
         // Extents are in file order and non-overlapping.
@@ -249,7 +263,7 @@ mod tests {
             stripe_factor: 1,
             stripe_bytes: 64,
         };
-        let extents = s.map_range(pool8(), 10, 1000);
+        let extents: Vec<_> = s.map_range(pool8(), 10, 1000).collect();
         assert_eq!(extents.len(), 1, "factor-1 runs merge into one extent");
         assert_eq!(extents[0].disk, DiskId(3));
         assert_eq!(extents[0].len, 1000);
@@ -299,6 +313,6 @@ mod tests {
     #[test]
     fn zero_length_range_maps_to_nothing() {
         let s = Striping::default_paper();
-        assert!(s.map_range(pool8(), 12345, 0).is_empty());
+        assert_eq!(s.map_range(pool8(), 12345, 0).next(), None);
     }
 }

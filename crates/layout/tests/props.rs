@@ -22,7 +22,7 @@ proptest! {
             stripe_factor: factor.min(pool_n),
             stripe_bytes: stripe,
         };
-        let extents = striping.map_range(pool, offset, len);
+        let extents: Vec<_> = striping.map_range(pool, offset, len).collect();
         let total: u64 = extents.iter().map(|e| e.len).sum();
         prop_assert_eq!(total, len);
         let mut cur = offset;
@@ -50,7 +50,7 @@ proptest! {
             stripe_bytes: stripe,
         };
         let d1 = striping.disk_for_offset(pool, probe);
-        let extents = striping.map_range(pool, probe, 1);
+        let extents: Vec<_> = striping.map_range(pool, probe, 1).collect();
         prop_assert_eq!(extents.len(), 1);
         prop_assert_eq!(extents[0].disk, d1);
     }

@@ -109,12 +109,14 @@ pub(crate) fn flush_compute(
 }
 
 /// Emits the block-level requests of one chunk fetch (clipped to the file
-/// end, split along stripe boundaries into per-disk extents). Shared by
-/// both generators; the caller has already updated the buffer cache and
-/// flushed the pending compute span.
+/// end at `file_bytes`, split along stripe boundaries into per-disk
+/// extents) straight into `buf`. Shared by both generators; the caller
+/// has already updated the buffer cache and flushed the pending compute
+/// span.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn emit_chunk_fetch(
     file: &sdpm_layout::ArrayFile,
+    file_bytes: u64,
     pool: DiskPool,
     config: &TraceGenConfig,
     next_block: &mut [Option<u64>],
@@ -125,7 +127,7 @@ pub(crate) fn emit_chunk_fetch(
     chunk: u64,
 ) {
     let chunk_start = chunk * config.io_chunk_bytes;
-    let chunk_len = config.io_chunk_bytes.min(file.total_bytes() - chunk_start);
+    let chunk_len = config.io_chunk_bytes.min(file_bytes - chunk_start);
     for ext in file.map_bytes(pool, chunk_start, chunk_len) {
         let d = ext.disk.0 as usize;
         let sequential = config.detect_sequential && next_block[d] == Some(ext.start_block);
@@ -237,7 +239,16 @@ impl<'a> WalkStream<'a> {
                 // fetch the whole chunk (clipped to the file end).
                 flush_compute(buf, ni, pending_start, flat, iter_secs);
                 emit_chunk_fetch(
-                    file, *pool, config, next_block, buf, ni, flat, lr.kind, chunk,
+                    file,
+                    file.total_bytes(),
+                    *pool,
+                    config,
+                    next_block,
+                    buf,
+                    ni,
+                    flat,
+                    lr.kind,
+                    chunk,
                 );
             }
         });
@@ -324,15 +335,16 @@ impl RunSource for GenSource<'_> {
     }
 }
 
-/// Generates the I/O trace of `program` against `pool` by draining the
-/// analytic generator ([`RunGenStream`]) into a materialized [`Trace`].
+/// Generates the I/O trace of `program` against `pool`: the analytic
+/// generator ([`RunGenStream`]) writes every event straight into the
+/// returned [`Trace`].
 ///
 /// # Panics
 /// If the program fails [`Program::validate`] or the chunk size is zero.
 #[must_use]
 pub fn generate(program: &Program, pool: DiskPool, config: TraceGenConfig) -> Trace {
     let _sp = crate::prof::span("trace.gen");
-    let trace = collect(&mut RunGenStream::new(program, pool, config));
+    let trace = RunGenStream::new(program, pool, config).into_trace();
     debug_assert_eq!(trace.validate(), Ok(()));
     trace
 }

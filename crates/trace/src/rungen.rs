@@ -10,45 +10,157 @@
 //! are enumerated one *segment* (one outer index tuple) at a time. A
 //! row-major scan is a single segment; a column walk of a row-major
 //! array is one segment per column. Inside a segment the next miss of a
-//! reference is the solution of a one-variable linear inequality, so
-//! each miss costs O(#refs), and each segment boundary O(#refs · split).
+//! reference is the solution of a one-variable linear inequality.
+//!
+//! Cost model. The plan narrows each closed form to `i64` once per nest;
+//! [`Program::validate`] bounds every array below `i64::MAX` bytes, so
+//! every element index and byte offset the generator forms fits. Each
+//! reference caches its next miss. A miss costs a minimum over the
+//! cached values, the replay below (which evaluates only the references
+//! that can miss), one `emit_chunk_fetch` that writes the fetch's
+//! requests straight into the event buffer, and a recomputation of the
+//! next miss of the references on the arrays whose cached chunk the miss
+//! changed — a handful of `u64` divisions each. There is no heap
+//! allocation and no `i128` arithmetic per miss. A segment boundary
+//! costs O(#refs · split) and recomputes every reference.
 //!
 //! Exactness: between two misses the buffer cache is static by
 //! construction (no ref misses, so no fetch, so no cache change). At a
 //! miss iteration — including the first iteration of every segment
 //! where some reference leaves its cached chunk — the generator replays
-//! the walk's per-iteration body verbatim: same ref order, same cache
-//! checks, and the shared `gen::flush_compute` /
-//! `gen::emit_chunk_fetch` helpers. Cache state therefore
-//! carries across segment and nest boundaries exactly as in the walk,
-//! and the emitted event sequence is byte-identical to the walk oracle
+//! the walk's per-iteration body: same ref order, same cache checks, and
+//! the shared `gen::flush_compute` / `gen::emit_chunk_fetch` helpers. A
+//! reference whose cached next miss lies beyond the iteration and whose
+//! array no earlier reference fetched into hits the cache there, so the
+//! replay skips it. Cache state therefore carries across segment and
+//! nest boundaries exactly as in the walk, and the emitted event
+//! sequence is byte-identical to the walk oracle
 //! [`crate::gen::generate_walk`]'s.
 
 use crate::event::{AppEvent, ReqKind};
 use crate::gen::{emit_chunk_fetch, flush_compute, linrefs_of, TraceGenConfig};
 use crate::run::{collect_runs, CompressStream, RunTrace};
 use crate::stream::{EventStream, DEFAULT_CHUNK_EVENTS};
-use sdpm_ir::{segmented_forms, FlatForm, LoopNest, Program};
+use crate::trace::Trace;
+use sdpm_ir::{segmented_forms, Program};
 use sdpm_layout::DiskPool;
 
-/// One reference's segmented closed form.
+/// Narrows a closed-form coefficient to `i64`. Every coefficient the
+/// plan keeps is an element index, or a difference of two, of a
+/// validated program, so it fits; anything else is a caller contract
+/// breach, reported loudly.
+fn narrow(v: i128) -> i64 {
+    i64::try_from(v)
+        .unwrap_or_else(|_| panic!("closed-form coefficient {v} outside i64: invalid program"))
+}
+
+/// One reference's segmented closed form in `i64`, with its next miss.
 struct AffRef {
     array: usize,
     kind: ReqKind,
-    form: FlatForm,
+    /// Element size and total size of the array, in bytes.
+    element_bytes: u64,
+    file_bytes: u64,
+    /// Element index at the nest's first iteration.
+    base: i64,
+    /// Element increment per flat iteration inside a segment.
+    slope: i64,
+    /// Per-trip increment of each loop outside the split, outermost
+    /// first; 0 for a loop of one trip, whose counter never moves.
+    outer: Vec<i64>,
     /// Element index at the current segment's first iteration.
-    seg_base: i128,
+    seg_base: i64,
+    /// First iteration at or after the stream position at which this
+    /// reference misses the cache as it stands; the segment end when it
+    /// does not miss in the segment.
+    next: u64,
 }
 
-/// Per-nest generation plan: the references' closed forms and the
-/// segment being generated.
+impl AffRef {
+    /// Element index at offset `off` of the current segment.
+    fn elem(&self, off: u64) -> u64 {
+        // `off` is an in-segment offset; when the slope is nonzero,
+        // `|slope·off|` is a difference of two element indices, so the
+        // product cannot overflow (and `off` converts exactly).
+        let e = self.seg_base + self.slope * off as i64;
+        // Non-negative by `Program::validate`; a violation is a caller
+        // contract breach, reported loudly.
+        u64::try_from(e).unwrap_or_else(|_| panic!("negative element index {e}"))
+    }
+
+    /// Chunk holding the element at offset `off` of the current segment.
+    fn chunk_at(&self, off: u64, chunk_bytes: u64) -> u64 {
+        self.elem(off) * self.element_bytes / chunk_bytes
+    }
+
+    /// First iteration in `[pos, end)` at which this reference misses
+    /// the cached chunk `cached` of its array, assuming the cache does
+    /// not change before then; `end` means none does. `pos` lies in the
+    /// segment starting at `seg_start`, which runs to at least `end`.
+    fn next_miss(
+        &self,
+        cached: Option<u64>,
+        chunk_bytes: u64,
+        seg_start: u64,
+        pos: u64,
+        end: u64,
+    ) -> u64 {
+        if pos >= end {
+            return end;
+        }
+        let Some(c) = cached else {
+            return pos;
+        };
+        let off = pos - seg_start;
+        if self.chunk_at(off, chunk_bytes) != c {
+            return pos;
+        }
+        let eb = self.element_bytes;
+        // The distance, in elements, from the segment base to the first
+        // element outside chunk `c` in the direction of travel; none
+        // when the chunk reaches the file's end in that direction.
+        let gap = match self.slope.signum() {
+            0 => return end,
+            1 => {
+                let Some(lim) = (c + 1)
+                    .checked_mul(chunk_bytes)
+                    .filter(|&b| b < self.file_bytes)
+                else {
+                    return end;
+                };
+                // First element whose first byte is at or past `lim`:
+                // at most the element count, so it fits `i64`.
+                let first_out = lim.div_ceil(eb) as i64;
+                first_out - self.seg_base
+            }
+            _ if c == 0 => return end,
+            _ => {
+                // Last element whose first byte precedes chunk `c`.
+                let last_out = ((c * chunk_bytes - 1) / eb) as i64;
+                self.seg_base - last_out
+            }
+        };
+        // Positive: the segment base lies on the near side of the
+        // boundary, as does the element at `pos`.
+        let miss_off = gap.unsigned_abs().div_ceil(self.slope.unsigned_abs());
+        debug_assert!(miss_off > off);
+        seg_start.checked_add(miss_off).map_or(end, |f| f.min(end))
+    }
+}
+
+/// Per-nest generation plan: the references' closed forms, the nest's
+/// constants, and the segment being generated.
 struct NestPlan {
     refs: Vec<AffRef>,
+    iter_count: u64,
+    iter_secs: f64,
     /// Iterations per segment: the trip-count product of the loops from
     /// the split inward.
     seg_len: u64,
-    /// First flat iteration of the current segment.
+    /// First flat iteration of the current segment, and its end (the
+    /// segment's last iteration plus one, clipped to the nest).
     seg_start: u64,
+    seg_end: u64,
     /// Trip counters of the loops outside the split for the current
     /// segment, outermost first.
     trips: Vec<u64>,
@@ -63,46 +175,92 @@ impl NestPlan {
         let refs = linrefs
             .iter()
             .zip(forms)
-            .map(|(lr, form)| AffRef {
-                array: lr.array,
-                kind: lr.kind,
-                seg_base: form.base,
-                form,
+            .map(|(lr, form)| {
+                let file = &program.arrays[lr.array];
+                let base = narrow(form.base);
+                AffRef {
+                    array: lr.array,
+                    kind: lr.kind,
+                    element_bytes: file.element_bytes,
+                    file_bytes: file.total_bytes(),
+                    base,
+                    slope: narrow(form.slope),
+                    outer: form
+                        .outer
+                        .iter()
+                        .zip(&nest.loops)
+                        .map(|(&inc, l)| if l.count > 1 { narrow(inc) } else { 0 })
+                        .collect(),
+                    seg_base: base,
+                    next: 0,
+                }
             })
             .collect();
+        let iter_count = nest.iter_count();
+        let seg_len = nest.loops[split..].iter().map(|l| l.count).product();
         NestPlan {
             refs,
-            seg_len: nest.loops[split..].iter().map(|l| l.count).product(),
+            iter_count,
+            iter_secs: program.iter_secs(ni),
+            seg_len,
             seg_start: 0,
+            seg_end: seg_len.min(iter_count),
             trips: vec![0; split],
         }
     }
 
     /// Moves to the next segment: odometer step over the outer trip
     /// counters, then each reference's segment base.
-    fn advance(&mut self, nest: &LoopNest) {
+    fn advance(&mut self, counts: impl Fn(usize) -> u64) {
         self.seg_start += self.seg_len;
+        self.seg_end = self
+            .seg_start
+            .saturating_add(self.seg_len)
+            .min(self.iter_count);
         for d in (0..self.trips.len()).rev() {
             self.trips[d] += 1;
-            if self.trips[d] < nest.loops[d].count {
+            if self.trips[d] < counts(d) {
                 break;
             }
             self.trips[d] = 0;
         }
         for r in &mut self.refs {
-            r.seg_base = r.form.segment_base(&self.trips);
+            // Each partial sum is the element index at an iteration of
+            // the nest, so none overflows.
+            let seg_base = r
+                .outer
+                .iter()
+                .zip(&self.trips)
+                .fold(r.base, |acc, (&inc, &t)| acc + inc * t as i64);
+            r.seg_base = seg_base;
+        }
+    }
+
+    /// Recomputes from `pos` the next miss of every reference on an
+    /// array for which `stale` holds.
+    fn refresh(
+        &mut self,
+        cached_chunk: &[Option<u64>],
+        chunk_bytes: u64,
+        pos: u64,
+        stale: impl Fn(usize) -> bool,
+    ) {
+        for r in &mut self.refs {
+            if stale(r.array) {
+                r.next = r.next_miss(
+                    cached_chunk[r.array],
+                    chunk_bytes,
+                    self.seg_start,
+                    pos,
+                    self.seg_end,
+                );
+            }
         }
     }
 }
 
-/// `ceil(a / b)` for `b > 0` over `i128`.
-fn ceil_div(a: i128, b: i128) -> i128 {
-    debug_assert!(b > 0);
-    a.div_euclid(b) + i128::from(a.rem_euclid(b) != 0)
-}
-
-/// The analytic generator as a lazy [`EventStream`], producing events in
-/// O(#refs) per cache miss. [`crate::gen::generate`] and
+/// The analytic generator as a lazy [`EventStream`]; see the module
+/// docs for its cost per miss. [`crate::gen::generate`] and
 /// [`crate::gen::GenSource`] drain it.
 pub struct RunGenStream<'a> {
     program: &'a Program,
@@ -111,12 +269,13 @@ pub struct RunGenStream<'a> {
     /// One cached chunk per array, persisting across nests (a hot array
     /// carried between nests does not refetch its resident chunk).
     cached_chunk: Vec<Option<u64>>,
+    /// Arrays fetched at the miss iteration being replayed.
+    fetched: Vec<bool>,
     /// Per-disk next expected block for sequential detection.
     next_block: Vec<Option<u64>>,
-    /// Current nest, next flat iteration within it, and the first
-    /// iteration of the compute run accumulating toward the next flush.
+    /// Current nest and the first iteration of the compute run
+    /// accumulating toward the next flush.
     ni: usize,
-    pos: u64,
     pending_start: u64,
     plan: Option<NestPlan>,
     buf: Vec<AppEvent>,
@@ -136,54 +295,31 @@ impl<'a> RunGenStream<'a> {
         if let Err(e) = program.validate(pool) {
             panic!("trace generation requires a valid program: {e}");
         }
-        RunGenStream {
+        let mut s = RunGenStream {
             program,
             pool,
             config,
             cached_chunk: vec![None; program.arrays.len()],
+            fetched: vec![false; program.arrays.len()],
             next_block: vec![None; pool.count() as usize],
             ni: 0,
-            pos: 0,
             pending_start: 0,
-            plan: (!program.nests.is_empty()).then(|| NestPlan::new(program, 0)),
+            plan: None,
             buf: Vec::new(),
             target: DEFAULT_CHUNK_EVENTS,
-        }
+        };
+        s.open_nest();
+        s
     }
 
-    /// First iteration in `[pos, end)` at which `r` misses the cache,
-    /// assuming the cache does not change before then (guaranteed: no
-    /// ref misses earlier, so nothing fetches); `end` means none does.
-    /// `pos` lies in the segment starting at `seg_start`, which runs to
-    /// at least `end`.
-    fn next_miss(&self, r: &AffRef, seg_start: u64, pos: u64, end: u64) -> u64 {
-        if pos >= end {
-            return end;
-        }
-        let Some(c) = self.cached_chunk[r.array] else {
-            return pos;
-        };
-        let eb = i128::from(self.program.arrays[r.array].element_bytes);
-        let cb = i128::from(self.config.io_chunk_bytes);
-        let c = i128::from(c);
-        let off = i128::from(pos - seg_start);
-        if ((r.seg_base + r.form.slope * off) * eb).div_euclid(cb) != c {
-            return pos;
-        }
-        let slope = r.form.slope;
-        let miss_off = match slope.signum() {
-            0 => return end,
-            // First offset with elem·eb ≥ (c+1)·cb.
-            1 => ceil_div(ceil_div((c + 1) * cb, eb) - r.seg_base, slope),
-            // First offset with elem·eb ≤ c·cb − 1; impossible when c == 0.
-            _ if c == 0 => return end,
-            _ => ceil_div(r.seg_base - (c * cb - 1).div_euclid(eb), -slope),
-        };
-        debug_assert!(miss_off > off);
-        u64::try_from(miss_off)
-            .ok()
-            .and_then(|o| o.checked_add(seg_start))
-            .map_or(end, |f| f.min(end))
+    /// Plans the current nest, if any, and computes every reference's
+    /// first miss in it.
+    fn open_nest(&mut self) {
+        self.plan = (self.ni < self.program.nests.len()).then(|| {
+            let mut plan = NestPlan::new(self.program, self.ni);
+            plan.refresh(&self.cached_chunk, self.config.io_chunk_bytes, 0, |_| true);
+            plan
+        });
     }
 
     /// Processes the current nest's next miss iteration, or finishes the
@@ -193,72 +329,91 @@ impl<'a> RunGenStream<'a> {
     /// exact.
     fn step(&mut self) {
         let ni = self.ni;
-        let iter_secs = self.program.iter_secs(ni);
-        let total = self.program.nests[ni].iter_count();
-        let Some(plan) = &self.plan else {
+        let chunk_bytes = self.config.io_chunk_bytes;
+        let Some(plan) = &mut self.plan else {
             unreachable!("a plan exists for every nest being generated");
         };
-        let seg_start = plan.seg_start;
-        let seg_end = seg_start.saturating_add(plan.seg_len).min(total);
         let m = plan
             .refs
             .iter()
-            .map(|r| self.next_miss(r, seg_start, self.pos, seg_end))
+            .map(|r| r.next)
             .min()
-            .unwrap_or(seg_end);
-        if m >= seg_end {
-            if seg_end >= total {
-                self.finish_nest(total, iter_secs);
-            } else if let Some(plan) = &mut self.plan {
-                plan.advance(&self.program.nests[ni]);
-                self.pos = seg_end;
+            .unwrap_or(plan.seg_end);
+        if m >= plan.seg_end {
+            if plan.seg_end >= plan.iter_count {
+                let (total, iter_secs) = (plan.iter_count, plan.iter_secs);
+                flush_compute(&mut self.buf, ni, &mut self.pending_start, total, iter_secs);
+                self.ni += 1;
+                self.pending_start = 0;
+                self.open_nest();
+            } else {
+                let loops = &self.program.nests[ni].loops;
+                plan.advance(|d| loops[d].count);
+                plan.refresh(&self.cached_chunk, chunk_bytes, plan.seg_start, |_| true);
             }
             return;
         }
-        // Replay the walk's body at iteration m, ref by ref.
-        let RunGenStream {
-            program,
-            pool,
-            config,
-            cached_chunk,
-            next_block,
-            pending_start,
-            plan: Some(plan),
-            buf,
-            ..
-        } = self
-        else {
-            unreachable!();
-        };
-        let off = i128::from(m - plan.seg_start);
+        // Replay the walk's body at iteration m, ref by ref. A reference
+        // whose next miss lies later, on an array nothing fetched yet at
+        // m, hits its cached chunk.
+        let off = m - plan.seg_start;
         for r in &plan.refs {
-            let file = &program.arrays[r.array];
-            let elem = r.seg_base + r.form.slope * off;
-            // Non-negative and in `u64` range by `Program::validate`; a
-            // violation is a caller contract breach, reported loudly.
-            let byte = u64::try_from(elem)
-                .unwrap_or_else(|_| panic!("out-of-range element index {elem}"))
-                * file.element_bytes;
-            let chunk = byte / config.io_chunk_bytes;
-            if cached_chunk[r.array] == Some(chunk) {
+            if r.next != m && !self.fetched[r.array] {
                 continue;
             }
-            cached_chunk[r.array] = Some(chunk);
-            flush_compute(buf, ni, pending_start, m, iter_secs);
-            emit_chunk_fetch(file, *pool, config, next_block, buf, ni, m, r.kind, chunk);
+            let chunk = r.chunk_at(off, chunk_bytes);
+            if self.cached_chunk[r.array] == Some(chunk) {
+                continue;
+            }
+            self.cached_chunk[r.array] = Some(chunk);
+            self.fetched[r.array] = true;
+            flush_compute(
+                &mut self.buf,
+                ni,
+                &mut self.pending_start,
+                m,
+                plan.iter_secs,
+            );
+            emit_chunk_fetch(
+                &self.program.arrays[r.array],
+                r.file_bytes,
+                self.pool,
+                &self.config,
+                &mut self.next_block,
+                &mut self.buf,
+                ni,
+                m,
+                r.kind,
+                chunk,
+            );
         }
-        self.pos = m + 1;
+        let fetched = &self.fetched;
+        plan.refresh(&self.cached_chunk, chunk_bytes, m + 1, |a| fetched[a]);
+        for r in &plan.refs {
+            self.fetched[r.array] = false;
+        }
     }
 
-    /// Flushes the nest's tail compute and advances to the next nest.
-    fn finish_nest(&mut self, total: u64, iter_secs: f64) {
-        let ni = self.ni;
-        flush_compute(&mut self.buf, ni, &mut self.pending_start, total, iter_secs);
-        self.ni += 1;
-        self.pos = 0;
-        self.pending_start = 0;
-        self.plan =
-            (self.ni < self.program.nests.len()).then(|| NestPlan::new(self.program, self.ni));
+    /// Steps until the buffer holds `target` events or the program ends.
+    fn fill(&mut self) {
+        while self.buf.len() < self.target && self.ni < self.program.nests.len() {
+            self.step();
+        }
+    }
+
+    /// Generates the whole trace straight into its event vector.
+    pub(crate) fn into_trace(mut self) -> Trace {
+        self.target = usize::MAX;
+        self.fill();
+        crate::prof::add("gen.events", self.buf.len() as u64);
+        let mut events = self.buf;
+        // Cached traces live for a whole session: drop the growth slack.
+        events.shrink_to_fit();
+        Trace {
+            name: self.program.name.clone(),
+            pool_size: self.pool.count(),
+            events,
+        }
     }
 }
 
@@ -273,9 +428,7 @@ impl EventStream for RunGenStream<'_> {
 
     fn next_chunk(&mut self) -> Option<&[AppEvent]> {
         self.buf.clear();
-        while self.buf.len() < self.target && self.ni < self.program.nests.len() {
-            self.step();
-        }
+        self.fill();
         if self.buf.is_empty() {
             None
         } else {
