@@ -1,13 +1,16 @@
 //! Component microbenchmarks: the hot paths of every subsystem.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use sdpm_bench::mixbench::quad_mix;
 use sdpm_core::{insert_directives, CmMode, NoiseModel};
 use sdpm_disk::{best_rpm_for_gap, ultrastar36z15, RpmLadder};
 use sdpm_ir::disk_activity;
 use sdpm_layout::DiskPool;
-use sdpm_sim::{simulate, DrpmConfig, Policy};
+use sdpm_sim::{
+    simulate, simulate_mix, AdaptiveConfig, DirectiveConfig, DrpmConfig, MixPolicy, Policy,
+};
 use sdpm_trace::codec::{decode, encode};
-use sdpm_trace::generate;
+use sdpm_trace::{generate, merge_tenants};
 use sdpm_workloads::{galgel, mgrid, wupwise};
 use sdpm_xform::{loop_fission, loop_tiling, TilingConfig};
 use std::hint::black_box;
@@ -135,6 +138,33 @@ fn bench_transforms(c: &mut Criterion) {
     g.finish();
 }
 
+/// The shared-pool mix on prebuilt inputs: the quad mix's tenant
+/// streams at load 4 are generated once, so `merge_tenants` and
+/// `simulate_mix` are timed without trace generation.
+fn bench_mix(c: &mut Criterion) {
+    let def = quad_mix();
+    let streams = def.session(4.0).tenant_streams();
+    let events = merge_tenants(&streams);
+    let names: Vec<&str> = def.tenants.iter().map(|t| t.name.as_str()).collect();
+    let cfg = &def.tenants[0].cfg;
+    let pool = DiskPool::new(cfg.disks);
+    let mut g = c.benchmark_group("mix");
+    g.sample_size(20);
+    g.throughput(Throughput::Elements(events.len() as u64));
+    g.bench_function("merge_tenants", |b| {
+        b.iter(|| black_box(merge_tenants(&streams)))
+    });
+    for policy in [
+        MixPolicy::Adaptive(AdaptiveConfig::default()),
+        MixPolicy::Directive(DirectiveConfig::default()),
+    ] {
+        g.bench_function(&format!("simulate_mix_{}", policy.label()), |b| {
+            b.iter(|| black_box(simulate_mix(&events, &names, &cfg.params, pool, &policy)))
+        });
+    }
+    g.finish();
+}
+
 fn bench_breakeven(c: &mut Criterion) {
     let params = ultrastar36z15();
     let ladder = RpmLadder::new(&params);
@@ -152,6 +182,6 @@ criterion_group! {
     name = components;
     config = Criterion::default();
     targets = bench_analysis, bench_generation, bench_instrumentation, bench_simulator,
-              bench_codec, bench_transforms, bench_breakeven
+              bench_codec, bench_transforms, bench_mix, bench_breakeven
 }
 criterion_main!(components);

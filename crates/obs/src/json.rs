@@ -223,12 +223,21 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.b[self.i..])
+                    // Copy the plain run up to the next quote or escape in
+                    // one piece. Both delimiters are ASCII, so the run never
+                    // splits a UTF-8 scalar, and validating only the run
+                    // keeps the whole parse linear.
+                    let start = self.i;
+                    while self
+                        .b
+                        .get(self.i)
+                        .is_some_and(|c| !matches!(c, b'"' | b'\\'))
+                    {
+                        self.i += 1;
+                    }
+                    let run = std::str::from_utf8(&self.b[start..self.i])
                         .map_err(|_| "invalid UTF-8 in string")?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.i += c.len_utf8();
+                    out.push_str(run);
                 }
             }
         }
@@ -319,6 +328,18 @@ mod tests {
         assert_eq!(out, "0.1");
         let v = Value::parse(&out).unwrap();
         assert_eq!(v.as_f64(), Some(0.1));
+    }
+
+    #[test]
+    fn long_non_ascii_string_parses_to_its_value() {
+        // Re-validating the rest of the document per character would
+        // make this 200 KB string quadratic.
+        let text = "é".repeat(100_000);
+        let doc = format!("[\"{text}\", \"a\\tb\"]");
+        let v = Value::parse(&doc).unwrap();
+        let items = v.as_array().unwrap();
+        assert_eq!(items[0].as_str(), Some(text.as_str()));
+        assert_eq!(items[1].as_str(), Some("a\tb"));
     }
 
     #[test]

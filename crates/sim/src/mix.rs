@@ -27,11 +27,14 @@
 //!   that would sleep (or slow) a disk while *another* tenant has an
 //!   imminent arrival on it is rejected and recorded as
 //!   [`MisfireCause::CrossTenant`]. The compiler proved its own program
-//!   safe, not the mix; the guard is the runtime's veto.
+//!   safe, not the mix; the guard is the runtime's veto. It looks ahead
+//!   in a per-disk arrival table that the engine builds only under this
+//!   policy.
 //!
 //! Determinism: the engine is a pure fold over the merged event order
 //! with no hidden iteration state; identical inputs give bit-identical
-//! [`MixReport`]s.
+//! [`MixReport`]s. No step sorts: each p99 is an order-statistic
+//! selection over the response times.
 
 use crate::disk::{open_reports, FifoDisk};
 use crate::error::SimError;
@@ -131,15 +134,17 @@ impl MixReport {
     }
 }
 
-/// 99th percentile by the nearest-rank method; sorts in place.
-/// Integer-only index math (no float casts): rank ⌈0.99 n⌉, 1-based.
-fn p99_sorting(responses: &mut [f64]) -> f64 {
+/// 99th percentile by the nearest-rank method: the order statistic at
+/// rank ⌈0.99 n⌉ (1-based), selected in O(n). Reorders `responses`.
+/// Values that tie under `total_cmp` are bit-identical, so the result
+/// equals indexing the fully sorted slice. Integer-only index math (no
+/// float casts).
+fn p99(responses: &mut [f64]) -> f64 {
     if responses.is_empty() {
         return 0.0;
     }
-    responses.sort_by(f64::total_cmp);
     let idx = (responses.len() * 99).div_ceil(100) - 1;
-    responses[idx]
+    *responses.select_nth_unstable_by(idx, f64::total_cmp).1
 }
 
 struct MixDisk {
@@ -157,7 +162,8 @@ struct MixDisk {
     ep_exploited: u64,
     ep_misfired: u64,
     ep_missed: u64,
-    /// Cursor into the per-disk arrival table (cross-tenant lookahead).
+    /// Cursor into the per-disk arrival table (cross-tenant lookahead;
+    /// the table exists under `Directive` only).
     next_arrival: usize,
 }
 
@@ -184,11 +190,15 @@ pub fn simulate_mix(
     let ladder = RpmLadder::new(params);
     let break_even = tpm_break_even_secs(params);
 
-    // Per-disk arrival table for the cross-tenant lookahead guard.
-    let mut arrivals: Vec<Vec<(f64, u32)>> = vec![Vec::new(); pool.count() as usize];
-    for e in events {
-        if let AppEvent::Io(req) = &e.event {
-            arrivals[req.disk.0 as usize].push((e.at_secs, e.tenant));
+    // Per-disk arrival table for the cross-tenant lookahead guard; only
+    // directives consult it.
+    let mut arrivals: Vec<Vec<(f64, u32)>> = Vec::new();
+    if let MixPolicy::Directive(_) = policy {
+        arrivals.resize(pool.count() as usize, Vec::new());
+        for e in events {
+            if let AppEvent::Io(req) = &e.event {
+                arrivals[req.disk.0 as usize].push((e.at_secs, e.tenant));
+            }
         }
     }
 
@@ -297,7 +307,7 @@ pub fn simulate_mix(
                 busy_secs: per_tenant_busy[i],
                 active_j: per_tenant_active_j[i],
                 mean_response_secs: sum / n.max(1) as f64,
-                p99_response_secs: p99_sorting(resp),
+                p99_response_secs: p99(resp),
                 max_response_secs: max,
                 misfires: m,
             }
@@ -312,7 +322,7 @@ pub fn simulate_mix(
         energy,
         requests,
         mean_response_secs: sum / requests.max(1) as f64,
-        p99_response_secs: p99_sorting(&mut all_resp),
+        p99_response_secs: p99(&mut all_resp),
         max_response_secs: max_response,
         misfires,
         per_tenant,
@@ -499,9 +509,11 @@ fn validate(
     }
     let mut prev: Option<(u64, u32, u64)> = None;
     for e in events {
-        if !e.at_secs.is_finite() || e.at_secs < 0.0 {
+        // `-0.0` passes `>= 0.0` but its bits key it after every
+        // positive time, so the merge-order check below would misjudge it.
+        if !e.at_secs.is_finite() || e.at_secs.is_sign_negative() {
             return Err(SimError::InvalidTrace(format!(
-                "non-finite or negative event time {}",
+                "non-finite or sign-negative event time {}",
                 e.at_secs
             )));
         }
@@ -725,6 +737,40 @@ mod tests {
             simulate_mix(&bad_disk, &["a"], &p, pool, &MixPolicy::Base),
             Err(SimError::DiskOutOfRange { disk: 9, pool: 2 })
         ));
+    }
+
+    #[test]
+    fn negative_zero_event_time_is_rejected() {
+        let p = ultrastar36z15();
+        let events = vec![ev(-0.0, 0, 0, 0), ev(0.0, 0, 1, 0)];
+        assert!(matches!(
+            simulate_mix(&events, &["a"], &p, DiskPool::new(2), &MixPolicy::Base),
+            Err(SimError::InvalidTrace(m)) if m.contains("sign-negative")
+        ));
+    }
+
+    #[test]
+    fn selected_p99_equals_sorted_nearest_rank_bitwise() {
+        let mut s = 0x9e37_79b9_7f4a_7c15u64;
+        for n in [1usize, 2, 99, 100, 101, 1000] {
+            for round in 0..20u64 {
+                // Few distinct values, so most ranks sit inside a run of
+                // duplicates; later rounds widen the value set.
+                let distinct = 1 + round * 3;
+                let mut v: Vec<f64> = (0..n)
+                    .map(|_| {
+                        s = s
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        ((s >> 33) % distinct) as f64 * 1e-3 + 0.25e-3
+                    })
+                    .collect();
+                let mut sorted = v.clone();
+                sorted.sort_by(f64::total_cmp);
+                let want = sorted[(n * 99).div_ceil(100) - 1];
+                assert_eq!(p99(&mut v).to_bits(), want.to_bits(), "n={n} round={round}");
+            }
+        }
     }
 
     #[test]

@@ -11,14 +11,17 @@
 //!   wall clock (its nominal timeline shifted by the tenant's arrival
 //!   offset and compressed by the mix's load factor),
 //! * [`TenantEvent`] — one merged event, stamped with its tenant,
-//! * [`merge_tenants`] / [`merge_tenants_chunked`] — the multi-way merge
-//!   with the stable `(time, tenant, seq)` tiebreak.
+//! * [`merge_tenants`] — the K-way merge with the stable
+//!   `(time, tenant, seq)` tiebreak. It copies each stream's events in
+//!   runs and costs O(n·K) for n events over K streams. Its
+//!   precondition is the [`TenantStream`] invariants: each stream is
+//!   already sorted, with finite, sign-positive times.
 //!
 //! Determinism contract: the merge is a *function of the tenant streams
-//! as sets*, not of buffering. Feeding the same streams in any slice
-//! order, through any chunk size, yields a byte-identical merged vector
-//! (`tests/props.rs` drives this with random chunk boundaries and tenant
-//! orderings against the single-pass reference merge below).
+//! as sets*. Feeding the same streams in any slice order yields a
+//! byte-identical merged vector, equal to sorting all events by the
+//! merge key (`tests/props.rs` checks this against that sort on random
+//! streams with many cross-tenant ties and shuffled input orders).
 
 use crate::event::AppEvent;
 use crate::stream::TimedEvent;
@@ -43,7 +46,8 @@ pub struct TenantEvent {
 /// One tenant's event timeline, ready to merge.
 ///
 /// Invariants (checked by the merge): `events` is sorted by
-/// `(at_secs, seq)` with strictly increasing `seq`, and holds no
+/// `(at_secs, seq)` with strictly increasing `seq`, every `at_secs` is
+/// finite and sign-positive (`-0.0` is rejected), and it holds no
 /// `Compute` events.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TenantStream {
@@ -98,12 +102,13 @@ pub fn tenant_timeline(
 }
 
 /// Total merge order: time, then tenant id, then per-tenant sequence.
-/// Times are finite by construction, so `total_cmp` agrees with the
-/// arithmetic order while staying total.
+/// Times are finite and sign-positive by construction, so `total_cmp`
+/// agrees with the arithmetic order while staying total.
 fn merge_key(at_secs: f64, tenant: u32, seq: u64) -> (u64, u32, u64) {
-    // total_cmp's order on non-negative finite floats equals the order
+    // total_cmp's order on sign-positive finite floats equals the order
     // of their IEEE-754 bit patterns; keying on the bits keeps the
-    // comparator branch-free and obviously total.
+    // comparator branch-free and obviously total. `-0.0` would key
+    // above every positive time, which is why `check_stream` rejects it.
     (at_secs.to_bits(), tenant, seq)
 }
 
@@ -117,8 +122,8 @@ fn check_stream(s: &TenantStream) {
     }
     for e in &s.events {
         assert!(
-            e.at_secs.is_finite() && e.at_secs >= 0.0,
-            "tenant {} has a non-finite or negative timestamp",
+            e.at_secs.is_finite() && !e.at_secs.is_sign_negative(),
+            "tenant {} has a non-finite or sign-negative timestamp",
             s.tenant
         );
         assert!(
@@ -129,8 +134,17 @@ fn check_stream(s: &TenantStream) {
     }
 }
 
-/// Single-pass reference merge: concatenate and stable-sort by
-/// `(time, tenant, seq)`. The spec the chunked merge is tested against.
+/// Merges the tenant streams into one timeline ordered by
+/// `(time, tenant, seq)`.
+///
+/// A K-way merge that emits runs: each step finds the stream whose head
+/// has the smallest key and the runner-up head key, then copies the
+/// winner's events while their keys stay below the runner-up. Within a
+/// stream the keys strictly increase (the [`TenantStream`] invariants),
+/// so this is exactly the sorted order of all events, for any order of
+/// the input slice. Each step scans the K heads and copies one run of
+/// at least one event, so n events in r runs cost O(n + K·r), at most
+/// O(n·K).
 ///
 /// # Panics
 /// If a stream violates the [`TenantStream`] invariants, or two streams
@@ -138,90 +152,45 @@ fn check_stream(s: &TenantStream) {
 #[must_use]
 pub fn merge_tenants(streams: &[TenantStream]) -> Vec<TenantEvent> {
     check_disjoint(streams);
-    let mut out: Vec<TenantEvent> =
-        Vec::with_capacity(streams.iter().map(|s| s.events.len()).sum());
     for s in streams {
         check_stream(s);
-        out.extend(s.events.iter().map(|e| TenantEvent {
+    }
+    let key = |tenant: u32, e: &TimedEvent| merge_key(e.at_secs, tenant, e.seq);
+    let mut rest: Vec<(u32, &[TimedEvent])> = streams
+        .iter()
+        .map(|s| (s.tenant, s.events.as_slice()))
+        .collect();
+    let mut out = Vec::with_capacity(streams.iter().map(|s| s.events.len()).sum());
+    loop {
+        let mut best: Option<(usize, (u64, u32, u64))> = None;
+        let mut runner_up: Option<(u64, u32, u64)> = None;
+        for (i, &(tenant, events)) in rest.iter().enumerate() {
+            let Some(head) = events.first() else { continue };
+            let k = key(tenant, head);
+            match best {
+                Some((_, b)) if b < k => {
+                    if runner_up.is_none_or(|r| k < r) {
+                        runner_up = Some(k);
+                    }
+                }
+                _ => {
+                    runner_up = best.map(|(_, b)| b);
+                    best = Some((i, k));
+                }
+            }
+        }
+        let Some((w, _)) = best else { break };
+        let (tenant, events) = rest[w];
+        let run = runner_up.map_or(events.len(), |r| {
+            events.iter().take_while(|e| key(tenant, e) < r).count()
+        });
+        out.extend(events[..run].iter().map(|e| TenantEvent {
             at_secs: e.at_secs,
-            tenant: s.tenant,
+            tenant,
             seq: e.seq,
             event: e.event,
         }));
-    }
-    // Keys are unique (tenant ids are disjoint, `seq` strictly
-    // increases within a stream), so the in-place unstable sort yields
-    // the stable order without a scratch buffer.
-    out.sort_unstable_by_key(|e| merge_key(e.at_secs, e.tenant, e.seq));
-    out
-}
-
-/// K-way cursor merge that only ever inspects one bounded chunk of each
-/// tenant's stream at a time — the shape a chunked
-/// [`crate::stream::EventStream`] consumer sees. Byte-identical to
-/// [`merge_tenants`] for every chunk size and input order, because
-/// within a tenant the stream is already sorted: the head of each
-/// tenant's current chunk *is* that tenant's global minimum, so chunk
-/// boundaries cannot change which event wins a comparison.
-///
-/// # Panics
-/// If `chunk` is zero, a stream violates the [`TenantStream`]
-/// invariants, or two streams share a tenant id.
-#[must_use]
-pub fn merge_tenants_chunked(streams: &[TenantStream], chunk: usize) -> Vec<TenantEvent> {
-    assert!(chunk > 0, "chunk size must be positive");
-    check_disjoint(streams);
-    for s in streams {
-        check_stream(s);
-    }
-    // Tenant-id order, independent of slice order.
-    let mut order: Vec<usize> = (0..streams.len()).collect();
-    order.sort_by_key(|&i| streams[i].tenant);
-
-    struct Cursor<'a> {
-        stream: &'a TenantStream,
-        /// Absolute position of the next unconsumed event.
-        pos: usize,
-        /// End of the currently visible chunk (exclusive).
-        visible: usize,
-    }
-    let mut cursors: Vec<Cursor<'_>> = order
-        .iter()
-        .map(|&i| Cursor {
-            stream: &streams[i],
-            pos: 0,
-            visible: chunk.min(streams[i].events.len()),
-        })
-        .collect();
-
-    let total: usize = streams.iter().map(|s| s.events.len()).sum();
-    let mut out = Vec::with_capacity(total);
-    loop {
-        let mut best: Option<(usize, (u64, u32, u64))> = None;
-        for (ci, c) in cursors.iter_mut().enumerate() {
-            if c.pos >= c.visible {
-                // Pull the next chunk into view (no-op when exhausted).
-                c.visible = (c.pos + chunk).min(c.stream.events.len());
-                if c.pos >= c.visible {
-                    continue;
-                }
-            }
-            let e = &c.stream.events[c.pos];
-            let key = merge_key(e.at_secs, c.stream.tenant, e.seq);
-            if best.is_none_or(|(_, k)| key < k) {
-                best = Some((ci, key));
-            }
-        }
-        let Some((ci, _)) = best else { break };
-        let c = &mut cursors[ci];
-        let e = &c.stream.events[c.pos];
-        out.push(TenantEvent {
-            at_secs: e.at_secs,
-            tenant: c.stream.tenant,
-            seq: e.seq,
-            event: e.event,
-        });
-        c.pos += 1;
+        rest[w].1 = &events[run..];
     }
     out
 }
@@ -288,17 +257,31 @@ mod tests {
     }
 
     #[test]
-    fn chunked_merge_matches_reference_and_ignores_input_order() {
+    fn merge_emits_runs_in_key_order_for_any_input_order() {
         let a = stream(0, &[0.5, 1.5, 2.5, 2.5, 9.0]);
         let b = stream(1, &[0.5, 0.5, 2.5, 8.0]);
         let c = stream(2, &[2.5]);
-        let reference = merge_tenants(&[a.clone(), b.clone(), c.clone()]);
-        for chunk in [1, 2, 3, 64] {
-            let forward = merge_tenants_chunked(&[a.clone(), b.clone(), c.clone()], chunk);
-            let shuffled = merge_tenants_chunked(&[c.clone(), a.clone(), b.clone()], chunk);
-            assert_eq!(forward, reference, "chunk={chunk}");
-            assert_eq!(shuffled, reference, "chunk={chunk}, shuffled input");
+        let forward = merge_tenants(&[a.clone(), b.clone(), c.clone()]);
+        let order: Vec<(u32, u64)> = forward.iter().map(|e| (e.tenant, e.seq)).collect();
+        assert_eq!(
+            order,
+            vec![
+                (0, 0),
+                (1, 0),
+                (1, 1),
+                (0, 1),
+                (0, 2),
+                (0, 3),
+                (1, 2),
+                (2, 0),
+                (1, 3),
+                (0, 4)
+            ]
+        );
+        for shuffled in [[c.clone(), a.clone(), b.clone()], [b, c, a]] {
+            assert_eq!(merge_tenants(&shuffled), forward, "input order leaked");
         }
+        assert!(merge_tenants(&[]).is_empty());
     }
 
     #[test]
@@ -356,6 +339,14 @@ mod tests {
     #[should_panic(expected = "share tenant id")]
     fn duplicate_tenant_ids_are_rejected() {
         let _ = merge_tenants(&[stream(1, &[0.0]), stream(1, &[1.0])]);
+    }
+
+    #[test]
+    #[should_panic(expected = "sign-negative timestamp")]
+    fn negative_zero_timestamp_is_rejected() {
+        // `-0.0 <= 0.0` passes the sortedness check, but its bit pattern
+        // keys it after every positive time.
+        let _ = merge_tenants(&[stream(0, &[-0.0, 0.0]), stream(1, &[0.0])]);
     }
 
     #[test]

@@ -11,8 +11,8 @@ use sdpm_trace::codec::{
     StreamEncoder,
 };
 use sdpm_trace::{
-    collect, compress, generate, AppEvent, IoRequest, PowerAction, REvent, ReqKind, Trace,
-    TraceGenConfig,
+    collect, compress, generate, AppEvent, IoRequest, PowerAction, REvent, ReqKind, TenantEvent,
+    TenantStream, Trace, TraceGenConfig,
 };
 
 fn event_strategy(pool: u32, nest: usize) -> impl Strategy<Value = AppEvent> {
@@ -486,19 +486,19 @@ fn hostile_length_prefix_does_not_preallocate() {
 
 proptest! {
     /// Multi-tenant merge determinism (the scenario layer's contract):
-    /// K interleaved tenant streams, merged under a random chunk size
-    /// and a random tenant ordering, are byte-identical to the
-    /// single-pass reference merge. Extends the seq-tiebreak tests in
-    /// `trace::stream` to the `(time, tenant, seq)` tiebreak.
+    /// K interleaved tenant streams, in a random slice order, merge to
+    /// exactly the sorted order of all their events — the sort-based
+    /// oracle below. Extends the seq-tiebreak tests in `trace::stream`
+    /// to the `(time, tenant, seq)` tiebreak.
     #[test]
-    fn tenant_merge_is_chunk_and_order_invariant(
-        raw in proptest::collection::vec(proptest::collection::vec(0u32..40, 0..30), 1..5),
-        chunk in 1usize..9,
+    fn tenant_merge_matches_sort_oracle_in_any_input_order(
+        raw in proptest::collection::vec(proptest::collection::vec(0u32..40, 0..30), 1..7),
         seed in any::<u64>(),
     ) {
-        use sdpm_trace::{merge_tenants, merge_tenants_chunked, TenantStream, TimedEvent};
+        use sdpm_trace::{merge_tenants, TimedEvent};
         // Quantized timestamps force plenty of cross-tenant ties, the
-        // case the tenant tiebreak exists for.
+        // case the tenant tiebreak exists for; the length range draws
+        // empty streams and the one-stream case.
         let streams: Vec<TenantStream> = raw
             .iter()
             .enumerate()
@@ -527,7 +527,7 @@ proptest! {
                 }
             })
             .collect();
-        let reference = merge_tenants(&streams);
+        let reference = sort_merge_oracle(&streams);
         // Seeded Fisher-Yates permutation of the input slice order; the
         // merge keys on tenant ids, so the order must not matter.
         let mut order: Vec<usize> = (0..streams.len()).collect();
@@ -540,7 +540,7 @@ proptest! {
             order.swap(i, j);
         }
         let shuffled: Vec<TenantStream> = order.iter().map(|&i| streams[i].clone()).collect();
-        let merged = merge_tenants_chunked(&shuffled, chunk);
+        let merged = merge_tenants(&shuffled);
         prop_assert_eq!(merged.len(), reference.len());
         for (a, b) in merged.iter().zip(&reference) {
             prop_assert_eq!(a.at_secs.to_bits(), b.at_secs.to_bits(), "timestamps drifted");
@@ -549,4 +549,24 @@ proptest! {
             prop_assert_eq!(&a.event, &b.event);
         }
     }
+}
+
+/// The merge's specification: concatenate every stream and sort by
+/// `(time, tenant, seq)`. Keys are unique (tenant ids are disjoint and
+/// `seq` strictly increases within a stream), so the unstable sort is
+/// the stable order.
+fn sort_merge_oracle(streams: &[TenantStream]) -> Vec<TenantEvent> {
+    let mut out: Vec<TenantEvent> = streams
+        .iter()
+        .flat_map(|s| {
+            s.events.iter().map(|e| TenantEvent {
+                at_secs: e.at_secs,
+                tenant: s.tenant,
+                seq: e.seq,
+                event: e.event,
+            })
+        })
+        .collect();
+    out.sort_unstable_by_key(|e| (e.at_secs.to_bits(), e.tenant, e.seq));
+    out
 }
