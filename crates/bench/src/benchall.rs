@@ -1,22 +1,21 @@
 //! `repro bench all`: the merged benchmark taxonomy and its CI gate.
 //!
 //! One entry point subsumes the historical harness shapes — the
-//! streamed-vs-materialized simulator paths, the run-compression bench
-//! (`BENCH_runlen.json`), and the fault-sweep smoke (`repro faultsim`) —
-//! plus codec round-trip timings, under a single schema
-//! (`sdpm-bench/v1`) with a labeled taxonomy:
+//! streamed-vs-materialized simulator paths and the fault-sweep smoke
+//! (`repro faultsim`) — plus generator, suite and codec round-trip
+//! timings, under a single schema (`sdpm-bench/v1`) with a labeled
+//! taxonomy:
 //!
-//! * **layer** — which subsystem is on the clock: `gen` (trace
-//!   generators), `suite` (end-to-end seven-scheme pipeline), `sim`
+//! * **layer** — which subsystem is on the clock: `gen` (the walk
+//!   oracle), `suite` (end-to-end seven-scheme pipeline), `sim`
 //!   (simulator data paths over one generated trace), `codec` (binary
 //!   encode/decode), `fault` (the injection sweep), `mix` (the
 //!   shared-pool scenario engine on a two-instance self-mix).
 //! * **access** — the kernel's I/O shape, classified from the generated
 //!   trace's sequential fraction: `seq` (>= 3/4 sequential), `rand`
 //!   (<= 1/4), `mixed` otherwise.
-//! * **mode** — the variant within the layer: `walk`/`analytic`,
-//!   `per_event`/`run_compressed`, `streamed`/`materialized`,
-//!   `encode`/`decode`, `sweep`.
+//! * **mode** — the variant within the layer: `walk`, `per_event`,
+//!   `streamed`/`materialized`, `encode`/`decode`, `sweep`, `shared`.
 //!
 //! Entry ids are `{layer}_{access}_{mode}__{kernel}`, stable across PRs
 //! so the per-PR history (`dev/bench/history.jsonl`, one JSON line per
@@ -28,20 +27,21 @@
 //! measures scheduler noise, not the build. Bit-exactness drift
 //! (`identical_all = false`) is a hard failure regardless of timing.
 //!
-//! Wall times are best-of-`REPS` minima like the legacy harnesses; peak
-//! memory is the per-phase heap watermark
-//! ([`crate::streambench::measure_phase_peak`]).
+//! Wall times are best-of-`REPS` minima; peak memory is the per-phase
+//! heap watermark of the first repetition
+//! ([`crate::streambench::measure_phase_peak`]). Entries with no second
+//! data path (the suite, the mix) check determinism across repetitions
+//! for their bit-exactness flag.
 
 use crate::config_for;
 use crate::faultsim::{run_fault_sweep, DEFAULT_RATES};
 use crate::mixbench::{MixDef, MixTenantDef};
-use crate::runbench::run_kernel_bench;
 use crate::streambench::{measure_phase_peak, run_stream_bench, PathCost};
-use sdpm_core::{ArrivalProcess, Scheme};
+use sdpm_core::{ArrivalProcess, Scheme, Session};
 use sdpm_layout::DiskPool;
 use sdpm_obs::json::Value;
 use sdpm_sim::{AdaptiveConfig, MixPolicy};
-use sdpm_trace::{codec, generate, Trace};
+use sdpm_trace::{codec, generate, generate_walk, Trace};
 use sdpm_workloads::Benchmark;
 use std::time::Instant;
 
@@ -56,7 +56,7 @@ pub const GATE_THRESHOLD: f64 = 1.10;
 /// ratio of two sub-5ms timings is dominated by scheduler noise.
 pub const GATE_MIN_SECS: f64 = 0.005;
 
-/// Codec-entry repetitions; the reported wall time is the minimum.
+/// Repetitions per entry; the reported wall time is the minimum.
 const REPS: usize = 3;
 
 /// One measured cell of the taxonomy.
@@ -129,7 +129,32 @@ fn entry(
     }
 }
 
-/// Runs every layer of the taxonomy over one kernel (ten entries).
+/// Runs `f` `REPS` times: the best wall time with the per-phase peak
+/// heap of the first run, the first run's result, and whether every
+/// later run reproduced it. Later results are dropped as soon as they
+/// are compared, so they do not inflate the peaks of later phases.
+fn best_of<T: PartialEq>(mut f: impl FnMut() -> T) -> (PathCost, T, bool) {
+    let t0 = Instant::now();
+    let (first, peak_kib) = measure_phase_peak(&mut f);
+    let mut wall_secs = t0.elapsed().as_secs_f64();
+    let mut same = true;
+    for _ in 1..REPS {
+        let t0 = Instant::now();
+        let r = f();
+        wall_secs = wall_secs.min(t0.elapsed().as_secs_f64());
+        same &= r == first;
+    }
+    (
+        PathCost {
+            wall_secs,
+            peak_kib,
+        },
+        first,
+        same,
+    )
+}
+
+/// Runs every layer of the taxonomy over one kernel (eight entries).
 #[must_use]
 pub fn bench_kernel_all(bench: &Benchmark) -> Vec<BenchEntry> {
     let cfg = config_for(bench);
@@ -137,70 +162,36 @@ pub fn bench_kernel_all(bench: &Benchmark) -> Vec<BenchEntry> {
     let trace = generate(&bench.program, pool, cfg.gen);
     let access = access_class(&trace);
     let kernel = bench.name;
-    let nocost = |secs: f64| PathCost {
-        wall_secs: secs,
-        peak_kib: 0,
+    let events = trace.events.len() as u64;
+
+    // gen layer: the walk oracle, checked against the generator.
+    let (walk_cost, walk_ok) = {
+        let (cost, walked, same) = best_of(|| generate_walk(&bench.program, pool, cfg.gen));
+        (cost, same && walked == trace)
     };
 
-    // gen + suite layers: the run-compression harness measures both.
-    let kc = run_kernel_bench(bench);
+    // suite layer: a fresh session per run, so the timing covers
+    // generation, instrumentation and simulation of all seven schemes.
+    // With no second path to compare, determinism is the check.
+    let (suite_cost, _, suite_ok) = best_of(|| {
+        let mut s = Session::new(&bench.program, &cfg);
+        Scheme::all().map(|scheme| s.run(scheme))
+    });
+
     // sim layer: the streaming harness measures both data paths.
     let sb = run_stream_bench(bench);
 
     // codec layer: binary round trip of the base trace.
-    let mut enc_secs = f64::INFINITY;
-    let mut dec_secs = f64::INFINITY;
-    let mut enc_peak = 0u64;
-    let mut dec_peak = 0u64;
-    let mut bytes = 0u64;
-    let mut roundtrip = true;
-    for rep in 0..REPS {
-        let t0 = Instant::now();
-        let buf = if rep == 0 {
-            let (b, kib) = measure_phase_peak(|| codec::encode(&trace));
-            enc_peak = kib;
-            b
-        } else {
-            codec::encode(&trace)
-        };
-        enc_secs = enc_secs.min(t0.elapsed().as_secs_f64());
-        bytes = buf.len() as u64;
-        let t1 = Instant::now();
-        let decoded = if rep == 0 {
-            let (d, kib) = measure_phase_peak(|| codec::decode(&buf));
-            dec_peak = kib;
-            d
-        } else {
-            codec::decode(&buf)
-        };
-        dec_secs = dec_secs.min(t1.elapsed().as_secs_f64());
-        roundtrip &= decoded.as_ref().is_ok_and(|d| *d == trace);
-    }
-
-    // fault layer: the sweep at the default rates, wall-clocked whole
-    // (best-of-reps like every other entry, or the gate reads noise).
-    let mut sweep_secs = f64::INFINITY;
-    let mut sweep_peak = 0u64;
-    let mut sweep = None;
-    for rep in 0..REPS {
-        let t0 = Instant::now();
-        let s = if rep == 0 {
-            let (s, kib) = measure_phase_peak(|| {
-                run_fault_sweep(std::slice::from_ref(bench), 42, &DEFAULT_RATES)
-            });
-            sweep_peak = kib;
-            s
-        } else {
-            run_fault_sweep(std::slice::from_ref(bench), 42, &DEFAULT_RATES)
-        };
-        sweep_secs = sweep_secs.min(t0.elapsed().as_secs_f64());
-        sweep = Some(s);
-    }
-    let sweep = sweep.unwrap_or_else(|| unreachable!("REPS > 0"));
-    let sweep_cost = PathCost {
-        wall_secs: sweep_secs,
-        peak_kib: sweep_peak,
+    let (enc_cost, dec_cost, bytes, roundtrip) = {
+        let (enc_cost, buf, enc_same) = best_of(|| codec::encode(&trace));
+        let (dec_cost, decoded, dec_same) = best_of(|| codec::decode(&buf));
+        let ok = enc_same && dec_same && decoded.as_ref() == Ok(&trace);
+        (enc_cost, dec_cost, buf.len() as u64, ok)
     };
+
+    // fault layer: the sweep at the default rates, wall-clocked whole.
+    let (sweep_cost, sweep, _) =
+        best_of(|| run_fault_sweep(std::slice::from_ref(bench), 42, &DEFAULT_RATES));
 
     // mix layer: a two-instance self-mix of the kernel on the shared
     // pool under the adaptive policy, doubled offered load. Determinism
@@ -219,138 +210,50 @@ pub fn bench_kernel_all(bench: &Benchmark) -> Vec<BenchEntry> {
             .collect(),
     };
     let mix_policy = MixPolicy::Adaptive(AdaptiveConfig::default());
-    let mut mix_secs = f64::INFINITY;
-    let mut mix_peak = 0u64;
-    let mut mix_reports = Vec::with_capacity(REPS);
-    for rep in 0..REPS {
-        let t0 = Instant::now();
-        let r = if rep == 0 {
-            let (r, kib) = measure_phase_peak(|| mix_def.session(2.0).contended(&mix_policy));
-            mix_peak = kib;
-            r
-        } else {
-            mix_def.session(2.0).contended(&mix_policy)
-        };
-        mix_secs = mix_secs.min(t0.elapsed().as_secs_f64());
-        mix_reports.push(r);
-    }
-    let mix_ok = mix_reports[0].is_ok()
-        && mix_reports
-            .windows(2)
-            .all(|w| matches!((&w[0], &w[1]), (Ok(a), Ok(b)) if a == b));
-    let mix_requests = mix_reports[0].as_ref().map_or(0, |r| r.requests);
-    let mix_cost = PathCost {
-        wall_secs: mix_secs,
-        peak_kib: mix_peak,
-    };
+    let (mix_cost, mix, mix_same) = best_of(|| mix_def.session(2.0).contended(&mix_policy));
+    let mix_ok = mix_same && mix.is_ok();
+    let mix_requests = mix.as_ref().map_or(0, |r| r.requests);
 
+    let entry = |layer, mode, cost: &PathCost, units, unit, identical| {
+        entry(layer, access, mode, kernel, cost, units, unit, identical)
+    };
     vec![
-        entry(
-            "gen",
-            access,
-            "walk",
-            kernel,
-            &nocost(kc.gen_walk_secs),
-            kc.events,
-            "events",
-            true,
-        ),
-        entry(
-            "gen",
-            access,
-            "analytic",
-            kernel,
-            &nocost(kc.gen_analytic_secs),
-            kc.records,
-            "records",
-            true,
-        ),
+        entry("gen", "walk", &walk_cost, events, "events", walk_ok),
         entry(
             "suite",
-            access,
             "per_event",
-            kernel,
-            &kc.per_event,
-            kc.events,
+            &suite_cost,
+            events,
             "events",
-            kc.identical,
-        ),
-        entry(
-            "suite",
-            access,
-            "run_compressed",
-            kernel,
-            &kc.run_compressed,
-            kc.records,
-            "records",
-            kc.identical,
+            suite_ok,
         ),
         entry(
             "sim",
-            access,
             "streamed",
-            kernel,
             &sb.streamed,
-            kc.events,
+            events,
             "events",
             sb.reports_identical,
         ),
         entry(
             "sim",
-            access,
             "materialized",
-            kernel,
             &sb.materialized,
-            kc.events,
+            events,
             "events",
             sb.reports_identical,
         ),
-        entry(
-            "codec",
-            access,
-            "encode",
-            kernel,
-            &PathCost {
-                wall_secs: enc_secs,
-                peak_kib: enc_peak,
-            },
-            bytes,
-            "bytes",
-            roundtrip,
-        ),
-        entry(
-            "codec",
-            access,
-            "decode",
-            kernel,
-            &PathCost {
-                wall_secs: dec_secs,
-                peak_kib: dec_peak,
-            },
-            bytes,
-            "bytes",
-            roundtrip,
-        ),
+        entry("codec", "encode", &enc_cost, bytes, "bytes", roundtrip),
+        entry("codec", "decode", &dec_cost, bytes, "bytes", roundtrip),
         entry(
             "fault",
-            access,
             "sweep",
-            kernel,
             &sweep_cost,
             sweep.cells.len() as u64,
             "cells",
             sweep.passed(),
         ),
-        entry(
-            "mix",
-            access,
-            "shared",
-            kernel,
-            &mix_cost,
-            mix_requests,
-            "reqs",
-            mix_ok,
-        ),
+        entry("mix", "shared", &mix_cost, mix_requests, "reqs", mix_ok),
     ]
 }
 

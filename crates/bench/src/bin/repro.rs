@@ -7,7 +7,6 @@
 //! repro probe <events.jsonl> [top_k]
 //! repro lint [benchmark|all] [--scheme S|all] [--json]
 //! repro prove [benchmark|all] [--scheme S|all] [--json] [--out PATH]
-//! repro bench --runlen [--json] [--out BENCH_runlen.json]
 //! repro bench all [--kernel swim|all] [--json] [--out BENCH.json]
 //!                 [--history dev/bench/history.jsonl] [--gate]
 //! repro profile [--bench swim] [--json PROFILE.json]
@@ -50,11 +49,11 @@ fn main() {
         return;
     }
     if argv.first().map(String::as_str) == Some("bench") {
-        if argv.get(1).map(String::as_str) == Some("all") {
-            bench_all_cmd(&argv[2..]);
-        } else {
-            bench_cmd(&argv[1..]);
+        if argv.get(1).map(String::as_str) != Some("all") {
+            eprintln!("repro bench: run `repro bench all` for the merged benchmark");
+            std::process::exit(2);
         }
+        bench_all_cmd(&argv[2..]);
         return;
     }
     if argv.first().map(String::as_str) == Some("profile") {
@@ -155,44 +154,10 @@ fn main() {
     }
 }
 
-/// `repro bench --runlen [--json] [--out BENCH_runlen.json]`: the
-/// per-event vs run-compressed table (see [`runlen_bench_cmd`]). Bare
-/// `repro bench` points at `repro bench all`, the merged record.
-fn bench_cmd(args: &[String]) {
-    let mut json = false;
-    let mut runlen = false;
-    let mut out_path = "BENCH_runlen.json".to_string();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--json" => json = true,
-            "--runlen" => runlen = true,
-            "--out" => {
-                out_path = it.next().cloned().unwrap_or_else(|| {
-                    eprintln!("--out needs a value");
-                    std::process::exit(2);
-                });
-            }
-            other => {
-                eprintln!("unknown bench argument '{other}'");
-                std::process::exit(2);
-            }
-        }
-    }
-    if !runlen {
-        eprintln!(
-            "repro bench: run `repro bench all` for the merged benchmark, \
-             or `repro bench --runlen` for the run-compression table"
-        );
-        std::process::exit(2);
-    }
-    runlen_bench_cmd(json, &out_path);
-}
-
 /// `repro bench all`: the merged taxonomy (see `sdpm_bench::benchall`)
-/// subsuming the streaming, run-compression, codec, and fault-sweep
-/// harnesses under one `sdpm-bench/v1` record. `--gate` compares wall
-/// times against the last line of `--history` (default
+/// subsuming the streaming, codec, and fault-sweep harnesses under one
+/// `sdpm-bench/v1` record. `--gate` compares wall times against the
+/// last line of `--history` (default
 /// `dev/bench/history.jsonl`) and exits 1 on a >10% regression or any
 /// bit-exactness drift; the current run is then appended to the history.
 #[cfg(feature = "obs")]
@@ -713,50 +678,6 @@ fn mix_cmd(args: &[String]) {
             std::process::exit(2);
         });
         println!("wrote tenant-tagged metrics to {path} (aggregate with `repro probe {path}`)");
-    }
-}
-
-/// `repro bench --runlen [--json] [--out BENCH_runlen.json]`: the
-/// run-compression harness over all six Table 2 kernels. Exits 1 when
-/// any kernel's per-event and run-compressed reports diverge.
-fn runlen_bench_cmd(json: bool, out_path: &str) {
-    use sdpm_bench::runbench::run_runlen_bench;
-
-    let r = run_runlen_bench(&suite());
-    println!(
-        "== Run-compression bench: {} schemes x {} kernels ==",
-        r.schemes.len(),
-        r.kernels.len()
-    );
-    println!(
-        "{}",
-        render_table(
-            &[
-                "kernel".into(),
-                "per-event s".into(),
-                "run-compressed s".into(),
-                "suite speedup".into(),
-                "gen speedup".into(),
-                "events".into(),
-                "records".into(),
-                "identical".into(),
-            ],
-            &r.rows()
-        )
-    );
-    println!(
-        "reports identical across paths: {}",
-        if r.reports_identical { "yes" } else { "NO" }
-    );
-    if json {
-        std::fs::write(out_path, r.to_json()).unwrap_or_else(|e| {
-            eprintln!("cannot write {out_path}: {e}");
-            std::process::exit(2);
-        });
-        println!("wrote {out_path}");
-    }
-    if !r.reports_identical {
-        std::process::exit(1);
     }
 }
 

@@ -147,7 +147,6 @@ mod tests {
             mean_slowdown: 1.0,
             misfire_causes: sdpm_sim::MisfireCauses::default(),
             faults: sdpm_fault::FaultCounts::default(),
-            sim_path: sdpm_sim::SimPath::default(),
         };
         let t = disk_timeline(&r, 10);
         let row = t.lines().next().unwrap();

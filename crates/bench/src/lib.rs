@@ -16,7 +16,6 @@ pub mod mixbench;
 #[cfg(feature = "obs")]
 pub mod profile;
 pub mod prove;
-pub mod runbench;
 pub mod streambench;
 
 pub use experiments::*;

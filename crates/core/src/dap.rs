@@ -1,15 +1,11 @@
-//! The Disk Access Pattern (DAP) and global idle gaps.
+//! The Disk Access Pattern (DAP).
 //!
 //! Section 3: "The DAP lists, for each disk, the idle and active times in
 //! a compact form", with entries like `<Nest 2, iteration 50, active>`.
 //! [`build_dap`] derives exactly that from the per-nest activity analysis
-//! of `sdpm-ir`; [`disk_gaps`] then flattens the program's nests onto one
-//! **global iteration timeline** and returns each disk's maximal idle
-//! intervals — the objects the break-even analysis and call insertion
-//! consume. Gaps freely span nest boundaries (the paper's example DAP has
-//! a disk idle from nest 1 through iteration 50 of nest 2).
+//! of `sdpm-ir`.
 
-use sdpm_ir::{ActivityMap, NestId, Program};
+use sdpm_ir::{ActivityMap, NestId};
 use serde::{Deserialize, Serialize};
 
 /// Disk state change recorded by the DAP.
@@ -81,130 +77,10 @@ pub fn build_dap(activity: &ActivityMap) -> Dap {
     Dap { per_disk }
 }
 
-/// Global iteration offsets of a program's nests: nest `n` occupies global
-/// indices `[offsets[n], offsets[n] + iter_count(n))`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct NestOffsets {
-    /// Start offset of each nest.
-    pub offsets: Vec<u64>,
-    /// Iteration count of each nest.
-    pub counts: Vec<u64>,
-    /// Total iterations in the program.
-    pub total: u64,
-}
-
-impl NestOffsets {
-    /// Computes the offsets of `program`'s nests in execution order.
-    #[must_use]
-    pub fn of(program: &Program) -> Self {
-        let mut offsets = Vec::with_capacity(program.nests.len());
-        let mut counts = Vec::with_capacity(program.nests.len());
-        let mut acc = 0u64;
-        for n in &program.nests {
-            offsets.push(acc);
-            let c = n.iter_count();
-            counts.push(c);
-            acc += c;
-        }
-        NestOffsets {
-            offsets,
-            counts,
-            total: acc,
-        }
-    }
-
-    /// Global index of `(nest, iter)`.
-    #[must_use]
-    pub fn global(&self, nest: NestId, iter: u64) -> u64 {
-        self.offsets[nest] + iter
-    }
-
-    /// Maps a global index back to `(nest, iter)`. Indices at or past the
-    /// end clamp to one-past-the-last-nest's-end.
-    #[must_use]
-    pub fn locate(&self, g: u64) -> (NestId, u64) {
-        match self.offsets.binary_search(&g) {
-            Ok(n) => {
-                // `g` is the start of nest n — unless that nest is empty,
-                // in which case fall through to the next non-empty one.
-                let mut n = n;
-                while n + 1 < self.counts.len() && self.counts[n] == 0 {
-                    n += 1;
-                }
-                (n, 0)
-            }
-            Err(0) => (0, 0),
-            Err(i) => {
-                let n = i - 1;
-                let within = g - self.offsets[n];
-                if within >= self.counts[n] && i < self.offsets.len() {
-                    (i, 0)
-                } else {
-                    (n, within.min(self.counts[n].saturating_sub(1)))
-                }
-            }
-        }
-    }
-}
-
-/// A maximal idle interval of one disk on the global iteration timeline:
-/// `[start_g, end_g)` in global iteration indices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct GlobalGap {
-    pub start_g: u64,
-    pub end_g: u64,
-}
-
-impl GlobalGap {
-    /// Iterations covered.
-    #[must_use]
-    pub fn len(&self) -> u64 {
-        self.end_g - self.start_g
-    }
-
-    /// True if empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.end_g <= self.start_g
-    }
-}
-
-/// Per-disk maximal idle gaps on the global timeline, including the
-/// leading gap (before a disk's first access) and the trailing gap (after
-/// its last).
-#[must_use]
-pub fn disk_gaps(activity: &ActivityMap, offsets: &NestOffsets) -> Vec<Vec<GlobalGap>> {
-    let disks = activity.pool_size as usize;
-    let mut out = vec![Vec::new(); disks];
-    for (d, gaps) in out.iter_mut().enumerate() {
-        let mut cursor = 0u64; // global index where the current idle began
-        for nest in &activity.nests {
-            for iv in &nest.per_disk[d] {
-                let start_g = offsets.global(nest.nest, iv.start);
-                let end_g = offsets.global(nest.nest, iv.end);
-                if start_g > cursor {
-                    gaps.push(GlobalGap {
-                        start_g: cursor,
-                        end_g: start_g,
-                    });
-                }
-                cursor = cursor.max(end_g);
-            }
-        }
-        if offsets.total > cursor {
-            gaps.push(GlobalGap {
-                start_g: cursor,
-                end_g: offsets.total,
-            });
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sdpm_ir::{disk_activity, AffineExpr, ArrayRef, LoopDim, LoopNest, Statement};
+    use sdpm_ir::{disk_activity, AffineExpr, ArrayRef, LoopDim, LoopNest, Program, Statement};
     use sdpm_layout::{ArrayFile, DiskId, DiskPool, StorageOrder, Striping};
 
     /// Two nests over a 2-disk pool: nest 0 scans A (disks 0,1), nest 1
@@ -281,78 +157,5 @@ mod tests {
         assert_eq!(dap.per_disk[1].len(), 4);
         assert_eq!(dap.per_disk[1][0].iter, 128);
         assert_eq!(dap.per_disk[1][0].state, DapState::Active);
-    }
-
-    #[test]
-    fn offsets_cover_program() {
-        let p = program();
-        let off = NestOffsets::of(&p);
-        assert_eq!(off.offsets, vec![0, 256]);
-        assert_eq!(off.total, 384);
-        assert_eq!(off.global(1, 5), 261);
-        assert_eq!(off.locate(0), (0, 0));
-        assert_eq!(off.locate(255), (0, 255));
-        assert_eq!(off.locate(256), (1, 0));
-        assert_eq!(off.locate(300), (1, 44));
-    }
-
-    #[test]
-    fn gaps_span_nest_boundaries() {
-        let p = program();
-        let pool = DiskPool::new(2);
-        let am = disk_activity(&p, pool);
-        let off = NestOffsets::of(&p);
-        let gaps = disk_gaps(&am, &off);
-        // Disk 0: idle from global 128 to the end (384) — one gap crossing
-        // the nest boundary, exactly the paper's cross-nest idleness.
-        assert_eq!(
-            gaps[0],
-            vec![GlobalGap {
-                start_g: 128,
-                end_g: 384
-            }]
-        );
-        // Disk 1: one leading gap [0,128), then busy to the end.
-        assert_eq!(
-            gaps[1],
-            vec![GlobalGap {
-                start_g: 0,
-                end_g: 128
-            }]
-        );
-    }
-
-    #[test]
-    fn unused_disk_gets_one_full_gap() {
-        let p = program();
-        let pool = DiskPool::new(4); // disks 2,3 unused
-        p.validate(pool).unwrap();
-        let am = disk_activity(&p, pool);
-        let off = NestOffsets::of(&p);
-        let gaps = disk_gaps(&am, &off);
-        assert_eq!(
-            gaps[3],
-            vec![GlobalGap {
-                start_g: 0,
-                end_g: 384
-            }]
-        );
-    }
-
-    #[test]
-    fn gaps_are_sorted_disjoint_and_nonempty() {
-        let p = program();
-        let pool = DiskPool::new(2);
-        let am = disk_activity(&p, pool);
-        let off = NestOffsets::of(&p);
-        for disk_gaps in disk_gaps(&am, &off) {
-            for w in disk_gaps.windows(2) {
-                assert!(w[0].end_g < w[1].start_g);
-            }
-            for g in &disk_gaps {
-                assert!(!g.is_empty());
-                assert!(g.end_g <= off.total);
-            }
-        }
     }
 }

@@ -19,7 +19,6 @@
 //! pre-activations — conservative in exactly the way a real system would
 //! be.
 
-use crate::dap::{GlobalGap, NestOffsets};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sdpm_ir::Program;
@@ -149,30 +148,12 @@ impl CycleEstimator {
     pub fn iter_secs(&self, nest: usize) -> f64 {
         self.per_nest_secs[nest]
     }
-
-    /// Estimated wall time of the global iteration interval
-    /// `[gap.start_g, gap.end_g)`.
-    #[must_use]
-    pub fn gap_secs(&self, offsets: &NestOffsets, gap: GlobalGap) -> f64 {
-        let mut total = 0.0;
-        for (n, (&off, &count)) in offsets.offsets.iter().zip(&offsets.counts).enumerate() {
-            let n_start = off;
-            let n_end = off + count;
-            let lo = gap.start_g.max(n_start);
-            let hi = gap.end_g.min(n_end);
-            if hi > lo {
-                total += (hi - lo) as f64 * self.per_nest_secs[n];
-            }
-        }
-        total
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use sdpm_ir::{LoopDim, LoopNest};
-    use sdpm_layout::DiskPool;
 
     fn program() -> Program {
         let nest = |label: &str, count: u64, cycles: f64| LoopNest {
@@ -195,33 +176,6 @@ mod tests {
         let e = CycleEstimator::exact(&p);
         assert!((e.iter_secs(0) - 1e-6).abs() < 1e-18);
         assert!((e.iter_secs(1) - 2e-6).abs() < 1e-18);
-    }
-
-    #[test]
-    fn gap_secs_spans_nests() {
-        let p = program();
-        p.validate(DiskPool::new(1)).unwrap();
-        let e = CycleEstimator::exact(&p);
-        let off = NestOffsets::of(&p);
-        // Gap from iteration 90 of nest a to iteration 10 of nest b:
-        // 10 us + 20 us.
-        let g = GlobalGap {
-            start_g: 90,
-            end_g: 110,
-        };
-        assert!((e.gap_secs(&off, g) - 30e-6).abs() < 1e-15);
-    }
-
-    #[test]
-    fn whole_program_gap_equals_compute_time() {
-        let p = program();
-        let e = CycleEstimator::exact(&p);
-        let off = NestOffsets::of(&p);
-        let g = GlobalGap {
-            start_g: 0,
-            end_g: off.total,
-        };
-        assert!((e.gap_secs(&off, g) - p.compute_secs()).abs() < 1e-15);
     }
 
     #[test]

@@ -7,8 +7,7 @@
 //! 1. **Disk access pattern (DAP) extraction** ([`dap`]): combine the
 //!    data access pattern with each array's disk layout to produce, per
 //!    disk, the compact `<nest, iteration, idle|active>` transition list
-//!    the paper shows in Section 3, and derive per-disk idle gaps on a
-//!    global iteration timeline.
+//!    the paper shows in Section 3.
 //! 2. **Cycle estimation** ([`estimate`]): convert iterations to time
 //!    using per-nest cycles-per-iteration estimates. The paper measures
 //!    these with `gethrtime` on the real machine; we model the
@@ -49,7 +48,7 @@ sdpm_obs::prof_hooks!();
 pub mod scenario;
 pub mod session;
 
-pub use dap::{build_dap, disk_gaps, Dap, DapEntry, DapState, GlobalGap, NestOffsets};
+pub use dap::{build_dap, Dap, DapEntry, DapState};
 pub use estimate::{CycleEstimator, NoiseModel};
 #[cfg(feature = "obs")]
 pub use insert::insert_directives_with_recorder;

@@ -20,7 +20,7 @@ use sdpm_fault::FaultPlan;
 use sdpm_ir::Program;
 use sdpm_layout::DiskPool;
 use sdpm_sim::{DirectiveConfig, Policy, SimError, SimReport};
-use sdpm_trace::{compress, generate, generate_runs, RunTrace, Trace};
+use sdpm_trace::{generate, Trace};
 
 #[cfg(feature = "obs")]
 pub(crate) type Obs<'a> = Option<&'a dyn sdpm_obs::Recorder>;
@@ -52,12 +52,7 @@ pub struct Session<'a> {
     base: Option<Trace>,
     /// Cached instrumentation, indexed by [`CmMode`] (`Tpm` = 0).
     cm: [Option<InsertOutcome>; 2],
-    /// Run-compressed base trace (analytic generator).
-    base_runs: Option<RunTrace>,
-    /// Run-compressed instrumented traces, indexed like `cm`.
-    cm_runs: [Option<RunTrace>; 2],
     generations: usize,
-    run_generations: usize,
 }
 
 impl<'a> Session<'a> {
@@ -69,10 +64,7 @@ impl<'a> Session<'a> {
             pool: DiskPool::new(cfg.disks),
             base: None,
             cm: [None, None],
-            base_runs: None,
-            cm_runs: [None, None],
             generations: 0,
-            run_generations: 0,
         }
     }
 
@@ -106,42 +98,6 @@ impl<'a> Session<'a> {
             self.base = Some(trace);
         }
         self.base.as_ref().expect("just cached")
-    }
-
-    /// How many times this session has generated a *run-compressed*
-    /// trace analytically. Stays at 1 across repeated fast-path scheme
-    /// runs — the fast-path analogue of [`Session::generations`].
-    #[must_use]
-    pub fn run_generations(&self) -> usize {
-        self.run_generations
-    }
-
-    /// The run-compressed base trace ([`sdpm_trace::generate_runs`]),
-    /// produced on first use. Lowering it yields the per-event
-    /// [`Session::base_trace`] bit for bit, so it is not re-validated
-    /// here.
-    pub fn base_runs(&mut self) -> &RunTrace {
-        if self.base_runs.is_none() {
-            let _sp = crate::prof::span("session.generate_runs");
-            self.run_generations += 1;
-            self.base_runs = Some(generate_runs(self.program, self.pool, self.cfg.gen));
-        }
-        self.base_runs.as_ref().expect("just cached")
-    }
-
-    /// The run-compressed form of the instrumented trace for `mode`,
-    /// compressed from the cached per-event instrumentation outcome on
-    /// first use (directive insertion itself is a per-event pass).
-    pub fn instrumented_runs(&mut self, mode: CmMode) -> &RunTrace {
-        let idx = match mode {
-            CmMode::Tpm => 0,
-            CmMode::Drpm => 1,
-        };
-        if self.cm_runs[idx].is_none() {
-            let rt = compress(&self.instrumented(mode).trace);
-            self.cm_runs[idx] = Some(rt);
-        }
-        self.cm_runs[idx].as_ref().expect("just cached")
     }
 
     /// The instrumentation outcome for `mode`, computed (from the cached
@@ -210,26 +166,6 @@ impl<'a> Session<'a> {
     #[must_use]
     pub fn run_with_recorder(&mut self, scheme: Scheme, rec: &dyn sdpm_obs::Recorder) -> SimReport {
         self.run_obs(scheme, Some(rec))
-    }
-
-    /// Runs one scheme through the O(#runs) fast path: the session's
-    /// cached run-compressed traces drive [`sdpm_sim::try_simulate_runs`].
-    /// The report is bit-identical to [`Session::run`] on the same
-    /// scheme; only [`sdpm_sim::SimReport::sim_path`] differs.
-    #[must_use]
-    pub fn run_compressed(&mut self, scheme: Scheme) -> SimReport {
-        let cfg = self.cfg;
-        let pool = self.pool;
-        let _sp = crate::prof::span("session.simulate_runs");
-        let (mode, policy) = scheme_plan(scheme, cfg);
-        let runs = match mode {
-            None => self.base_runs(),
-            Some(mode) => self.instrumented_runs(mode),
-        };
-        let mut report = sdpm_sim::try_simulate_runs(runs, &cfg.params, pool, &policy)
-            .unwrap_or_else(|e| panic!("{e}"));
-        report.policy = scheme.label().to_string();
-        report
     }
 
     /// Runs one scheme with an optional fault-injection plan, returning
@@ -368,41 +304,6 @@ mod tests {
                 scheme.label()
             );
         }
-    }
-
-    #[test]
-    fn run_compressed_matches_per_event_bitwise_for_all_schemes() {
-        let p = checkpoint_loop(2, 2, 8.0);
-        let cfg = PipelineConfig::default();
-        let mut session = Session::new(&p, &cfg);
-        for scheme in Scheme::all() {
-            let slow = session.run(scheme);
-            let fast = session.run_compressed(scheme);
-            assert_eq!(
-                fast.sim_path,
-                sdpm_sim::SimPath::RunCompressed,
-                "{}: fast path must be tagged",
-                scheme.label()
-            );
-            assert_eq!(slow, fast, "{}: reports differ", scheme.label());
-            assert_eq!(
-                slow.total_energy_j().to_bits(),
-                fast.total_energy_j().to_bits(),
-                "{}: energy drifted",
-                scheme.label()
-            );
-        }
-        assert_eq!(session.run_generations(), 1, "one analytic generation");
-    }
-
-    #[test]
-    fn base_runs_lower_to_the_cached_base_trace() {
-        let p = checkpoint_loop(2, 2, 8.0);
-        let cfg = PipelineConfig::default();
-        let mut session = Session::new(&p, &cfg);
-        let lowered = session.base_runs().lower();
-        let base = session.base_trace();
-        assert_eq!(base.events, lowered.events);
     }
 
     #[test]

@@ -10,14 +10,14 @@
 use crate::disk::DiskModel;
 use crate::error::SimError;
 use crate::policy::{DrpmConfig, Policy, ScheduledAction};
-use crate::report::{MisfireCause, MisfireCauses, PerDiskReport, SimPath, SimReport};
+use crate::report::{MisfireCause, MisfireCauses, PerDiskReport, SimReport};
 use sdpm_disk::{
     service_time_secs, tpm_break_even_secs, DiskParams, DiskPowerState, EnergyBreakdown, RpmLadder,
     RpmLevel, ServiceRequest,
 };
 use sdpm_fault::{FaultCounts, FaultPlan};
 use sdpm_layout::{DiskId, DiskPool};
-use sdpm_trace::{AppEvent, EventStream, IoRequest, PowerAction, REvent, Run, RunStream};
+use sdpm_trace::{AppEvent, EventStream, IoRequest, PowerAction, REvent, Run, RunTrace};
 
 #[cfg(feature = "obs")]
 use sdpm_obs::{Event as ObsEvent, Recorder};
@@ -169,8 +169,8 @@ struct DiskRt {
 
 /// Mid-run engine state: the per-disk runtimes plus the global clock and
 /// report accumulators. One instance lives for one simulated run; the
-/// per-event and run-compressed loops mutate it through the same
-/// handlers, which is what keeps the two paths bit-identical.
+/// per-event and run-record loops mutate it through the same handlers,
+/// which is what keeps the two paths bit-identical.
 struct ExecState {
     disks: Vec<DiskRt>,
     /// Application clock, seconds.
@@ -257,32 +257,26 @@ impl Engine {
         self.finish(st, rec)
     }
 
-    /// The run-compressed engine loop: plain records go through the
-    /// ordinary per-event handler; a [`Run`] record goes through
-    /// [`Engine::handle_run`], which services steady repetitions without
-    /// policy dispatch or state-machine branching and expands to the
-    /// per-event handler exactly where a policy boundary (TPM threshold,
-    /// DRPM drift window, scheduled action) lands inside the run. The
-    /// report is bit-identical to [`Engine::run_events`] on the lowered
-    /// stream (only [`SimReport::sim_path`] differs).
-    pub(crate) fn run_records(
-        &self,
-        stream: &mut dyn RunStream,
-        rec: Obs<'_>,
-    ) -> Result<SimReport, SimError> {
-        let mut st = self.init_state(stream.pool_size(), rec)?;
-        while let Some(chunk) = stream.try_next_chunk().map_err(SimError::Codec)? {
-            crate::prof::add("sim.records", chunk.len() as u64);
-            for record in chunk {
-                match record {
-                    REvent::Event(event) => self.handle_event(&mut st, event, rec)?,
-                    REvent::Run(run) => self.handle_run(&mut st, run, rec)?,
-                }
+    /// The stored-trace engine loop over a run-compressed trace: plain
+    /// records go through the ordinary per-event handler; a [`Run`]
+    /// record goes through [`Engine::handle_run`], which services steady
+    /// repetitions without policy dispatch or state-machine branching and
+    /// expands to the per-event handler exactly where a policy boundary
+    /// (TPM threshold, DRPM drift window, scheduled action) lands inside
+    /// the run. The report is bit-identical to [`Engine::run_events`] on
+    /// the lowered trace. The loop runs without a fault plan or a
+    /// recorder.
+    pub(crate) fn run_records(&self, trace: &RunTrace) -> Result<SimReport, SimError> {
+        debug_assert!(self.faults.is_none(), "run records replay fault-free");
+        let mut st = self.init_state(trace.pool_size, None)?;
+        crate::prof::add("sim.records", trace.events.len() as u64);
+        for record in &trace.events {
+            match record {
+                REvent::Event(event) => self.handle_event(&mut st, event, None)?,
+                REvent::Run(run) => self.handle_run(&mut st, run)?,
             }
         }
-        let mut report = self.finish(st, rec)?;
-        report.sim_path = SimPath::RunCompressed;
-        Ok(report)
+        self.finish(st, None)
     }
 
     /// Per-disk runtimes and global accumulators, positioned at run
@@ -501,25 +495,11 @@ impl Engine {
     /// the run is bitwise identical. The moment a policy boundary (TPM
     /// threshold, DRPM drift window, scheduled action) lands inside the
     /// repetition, that position expands to the exact per-event handler.
-    /// With a recorder attached every position expands, so observers see
-    /// the full per-event stream.
-    fn handle_run(&self, st: &mut ExecState, run: &Run, rec: Obs<'_>) -> Result<(), SimError> {
+    fn handle_run(&self, st: &mut ExecState, run: &Run) -> Result<(), SimError> {
         // A decoded run was validated by the codec, but a hand-built
         // RunTrace reaches here unchecked — and a zero rotation would
         // divide by zero below.
         run.validate().map_err(SimError::InvalidRun)?;
-        #[cfg(feature = "obs")]
-        if rec.is_some() {
-            return self.expand_run(st, run, rec);
-        }
-        // Under fault injection the steady fast path is unsound: a
-        // transient failure or slow spin-up inside the run changes
-        // timing in ways `steady_ok` cannot prove away. Degrade the
-        // whole record to per-event servicing and count the degradation.
-        if self.faults.is_some() {
-            st.faults.degraded_expansions += 1;
-            return self.expand_run(st, run, rec);
-        }
         let max = self.ladder.max_level();
         // Full-speed service time is a function of the template only —
         // hoist it out of the repetition loop.
@@ -559,13 +539,13 @@ impl Engine {
                             pool,
                         })?;
                 if !self.steady_ok(rt, st.t) {
-                    self.handle_event(st, &run.event_at(rep, (1 + j) as u64), rec)?;
+                    self.handle_event(st, &run.event_at(rep, (1 + j) as u64), None)?;
                     continue;
                 }
-                // Steady fast path: catch_up is a proven no-op, obs is
-                // off, and the disk is spinning idle, so its demand
-                // wake-up is immediate. The model calls are the generic
-                // Io arm's.
+                // Steady fast path: catch_up is a proven no-op, there is
+                // no recorder, and the disk is spinning idle, so its
+                // demand wake-up is immediate. The model calls are the
+                // generic Io arm's.
                 rt.disk.close_gap(st.t);
                 let start = st.t.max(rt.disk.machine.now());
                 let served = rt.disk.serve(&self.params, start, &tpl.io)?;
@@ -582,31 +562,17 @@ impl Engine {
                 st.t = completion;
                 rt.drift_mark = st.t;
                 if let Policy::Drpm(cfg) = &self.policy {
-                    // The fast path is never taken with faults attached
-                    // (degraded above), so no plan is threaded here.
                     Self::drpm_window_update(
                         rt,
                         cfg,
                         slowdown,
                         st.t,
                         max,
-                        rec,
+                        None,
                         None,
                         &mut st.faults,
                     );
                 }
-            }
-        }
-        Ok(())
-    }
-
-    /// Expands a run record through the per-event handler — the
-    /// degraded path used whenever a recorder or a fault plan makes the
-    /// steady fast path unsound.
-    fn expand_run(&self, st: &mut ExecState, run: &Run, rec: Obs<'_>) -> Result<(), SimError> {
-        for rep in 0..run.count {
-            for sub in 0..run.events_per_rep() {
-                self.handle_event(st, &run.event_at(rep, sub), rec)?;
             }
         }
         Ok(())
@@ -673,7 +639,6 @@ impl Engine {
             },
             misfire_causes: misfires,
             faults,
-            sim_path: SimPath::Streamed,
         })
     }
 

@@ -96,13 +96,13 @@ pub use error::SimError;
 pub use mix::{simulate_mix, MixPolicy, MixReport, TenantMixReport};
 pub use openloop::{replay_open_loop, OpenDiskReport, OpenLoopReport};
 pub use policy::{AdaptiveConfig, DirectiveConfig, DrpmConfig, Policy, ScheduledAction, TpmConfig};
-pub use report::{GapRecord, MisfireCause, MisfireCauses, PerDiskReport, SimPath, SimReport};
+pub use report::{GapRecord, MisfireCause, MisfireCauses, PerDiskReport, SimReport};
 
 use engine::{Engine, Obs};
 use sdpm_disk::DiskParams;
 use sdpm_fault::FaultPlan;
 use sdpm_layout::DiskPool;
-use sdpm_trace::{EventSource, RunSource, Trace};
+use sdpm_trace::{EventSource, RunTrace, Trace};
 
 /// Simulates `trace` on `pool.count()` disks of model `params` under
 /// `policy`.
@@ -165,40 +165,21 @@ pub fn try_simulate_source_faulted(
     drive(Input::Events(source), params, pool, policy, faults, None)
 }
 
-/// Simulates a run-compressed source — a materialized
-/// [`sdpm_trace::RunTrace`], the analytic generator
-/// ([`sdpm_trace::GenSource`]), or any other re-openable run stream —
-/// through the O(#runs) engine loop. The report is bit-identical to
-/// [`try_simulate_source_faulted`] on the lowered per-event equivalent;
-/// only the [`SimReport::sim_path`] metadata differs. Oracle policies
-/// run their internal Base pass over the same run-compressed records.
+/// Replays a stored run-compressed trace ([`sdpm_trace::RunTrace`],
+/// as [`sdpm_trace::codec::decode_runs`] returns it) through the
+/// O(#runs) engine loop. The report is bit-identical to [`try_simulate`]
+/// on the lowered per-event trace. Oracle policies run their internal
+/// Base pass over the same records.
 ///
 /// # Errors
 /// A [`SimError`] describing the invalid input.
 pub fn try_simulate_runs(
-    source: &dyn RunSource,
+    trace: &RunTrace,
     params: &DiskParams,
     pool: DiskPool,
     policy: &Policy,
 ) -> Result<SimReport, SimError> {
-    try_simulate_runs_faulted(source, params, pool, policy, None)
-}
-
-/// [`try_simulate_runs`] with a fault plan attached to the measured
-/// run; same oracle semantics as [`try_simulate_source_faulted`]. Under
-/// a plan every run record degrades to per-event servicing, counted in
-/// [`sdpm_fault::FaultCounts::degraded_expansions`].
-///
-/// # Errors
-/// A [`SimError`] describing the invalid input.
-pub fn try_simulate_runs_faulted(
-    source: &dyn RunSource,
-    params: &DiskParams,
-    pool: DiskPool,
-    policy: &Policy,
-    faults: Option<&FaultPlan>,
-) -> Result<SimReport, SimError> {
-    drive(Input::Runs(source), params, pool, policy, faults, None)
+    drive(Input::Runs(trace), params, pool, policy, None, None)
 }
 
 /// Like [`try_simulate_source_faulted`] without faults, but streams the
@@ -232,8 +213,9 @@ pub fn simulate_source_with_recorder(
 enum Input<'a> {
     /// Per-event, through [`Engine::run_events`].
     Events(&'a dyn EventSource),
-    /// Run-compressed, through [`Engine::run_records`].
-    Runs(&'a dyn RunSource),
+    /// A stored run-compressed trace, through [`Engine::run_records`]
+    /// (never with a fault plan or a recorder).
+    Runs(&'a RunTrace),
 }
 
 impl Input<'_> {
@@ -241,7 +223,7 @@ impl Input<'_> {
     fn run(self, engine: &Engine, rec: Obs<'_>) -> Result<SimReport, SimError> {
         match self {
             Input::Events(source) => engine.run_events(&mut *source.open(), rec),
-            Input::Runs(source) => engine.run_records(&mut *source.open_runs(), rec),
+            Input::Runs(trace) => engine.run_records(trace),
         }
     }
 }

@@ -138,32 +138,8 @@ pub struct PerDiskReport {
     pub gaps: Vec<GapRecord>,
 }
 
-/// Which engine path produced a report. Metadata only: every path is
-/// bit-identical in results, so [`SimReport`]'s equality ignores this
-/// field — it records *how* the numbers were computed, not *what* they
-/// are.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SimPath {
-    /// Per-event loop (an event source or a materialized trace).
-    #[default]
-    Streamed,
-    /// Run-compressed loop ([`crate::try_simulate_runs`]).
-    RunCompressed,
-}
-
-impl SimPath {
-    /// Stable snake_case label (used in bench report metadata).
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            SimPath::Streamed => "streamed",
-            SimPath::RunCompressed => "run_compressed",
-        }
-    }
-}
-
 /// Whole-run outcome.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SimReport {
     /// Scheme label the run used.
     pub policy: String,
@@ -189,26 +165,6 @@ pub struct SimReport {
     /// zeros when no [`sdpm_fault::FaultPlan`] was attached, so the
     /// field is inert for fault-free bit-exactness comparisons.
     pub faults: FaultCounts,
-    /// Engine path that produced the report (metadata; excluded from
-    /// equality because every path is bit-identical in results).
-    pub sim_path: SimPath,
-}
-
-/// Equality over *results*: every field except [`SimReport::sim_path`],
-/// which records provenance, not outcome — the bit-exactness suites
-/// compare reports across paths.
-impl PartialEq for SimReport {
-    fn eq(&self, other: &Self) -> bool {
-        self.policy == other.policy
-            && self.exec_secs == other.exec_secs
-            && self.energy == other.energy
-            && self.per_disk == other.per_disk
-            && self.requests == other.requests
-            && self.stall_secs == other.stall_secs
-            && self.mean_slowdown == other.mean_slowdown
-            && self.misfire_causes == other.misfire_causes
-            && self.faults == other.faults
-    }
 }
 
 impl SimReport {
@@ -292,19 +248,7 @@ mod tests {
             mean_slowdown: 1.0,
             misfire_causes: MisfireCauses::default(),
             faults: FaultCounts::default(),
-            sim_path: SimPath::default(),
         }
-    }
-
-    #[test]
-    fn equality_ignores_the_sim_path_metadata() {
-        let a = empty_report("Base");
-        let mut b = empty_report("Base");
-        b.sim_path = SimPath::RunCompressed;
-        assert_eq!(a, b, "sim_path is provenance, not outcome");
-        let mut c = empty_report("Base");
-        c.exec_secs += 1.0;
-        assert_ne!(a, c);
     }
 
     #[test]

@@ -1,12 +1,18 @@
-//! Bit-exactness of the O(#runs) fast path when policy machinery fires
-//! *inside* a run: TPM thresholds, DRPM drift windows, oracle schedules,
-//! and embedded directives all force per-event expansion for the
-//! affected repetitions, and the result must match the per-event engine
-//! bitwise — reports, gap ledgers, misfire causes, everything.
+//! Bit-exactness of stored-trace replay: `try_simulate_runs` on
+//! `compress(t)` must match the per-event engine on `t` bitwise —
+//! reports, gap ledgers, misfire causes, everything. Every scheme of
+//! every Table 2 kernel is checked, and so are the cases where policy
+//! machinery fires *inside* a run: TPM thresholds, DRPM drift windows,
+//! oracle schedules, and embedded directives all force per-event
+//! expansion for the affected repetitions.
 
+use sdpm_core::{CmMode, NoiseModel, PipelineConfig, Scheme, Session};
 use sdpm_disk::ultrastar36z15;
 use sdpm_layout::{DiskId, DiskPool};
-use sdpm_sim::{simulate, try_simulate_runs, DrpmConfig, Policy, SimPath, SimReport, TpmConfig};
+use sdpm_sim::{
+    simulate, try_simulate, try_simulate_runs, DirectiveConfig, DrpmConfig, Policy, SimReport,
+    TpmConfig,
+};
 use sdpm_trace::{compress, AppEvent, IoRequest, PowerAction, REvent, ReqKind, Trace};
 
 fn io(disk: u32, block: u64, iter: u64) -> AppEvent {
@@ -53,7 +59,6 @@ fn assert_bitwise(t: &Trace, pool: u32, policy: &Policy, label: &str) -> SimRepo
     );
     let slow = simulate(t, &params, pool, policy);
     let fast = try_simulate_runs(&rt, &params, pool, policy).unwrap();
-    assert_eq!(fast.sim_path, SimPath::RunCompressed, "{label}");
     assert_eq!(fast, slow, "{label}: reports must match");
     assert_eq!(
         fast.exec_secs.to_bits(),
@@ -66,6 +71,51 @@ fn assert_bitwise(t: &Trace, pool: u32, policy: &Policy, label: &str) -> SimRepo
         "{label}: energy must match bitwise"
     );
     fast
+}
+
+#[test]
+fn stored_runs_match_per_event_for_every_kernel_and_scheme() {
+    for bench in sdpm_workloads::all_benchmarks() {
+        let cfg = PipelineConfig {
+            gen: bench.gen,
+            noise: NoiseModel {
+                spread: bench.noise_spread,
+                gap_jitter: bench.noise_jitter,
+                seed: bench.noise_seed,
+            },
+            ..PipelineConfig::default()
+        };
+        let pool = DiskPool::new(cfg.disks);
+        let mut session = Session::new(&bench.program, &cfg);
+        let directive = Policy::Directive(DirectiveConfig {
+            overhead_secs: cfg.overhead_secs,
+        });
+        for scheme in Scheme::all() {
+            let (policy, trace) = match scheme {
+                Scheme::Base => (Policy::Base, session.base_trace()),
+                Scheme::Tpm => (Policy::Tpm(cfg.tpm), session.base_trace()),
+                Scheme::ITpm => (Policy::IdealTpm, session.base_trace()),
+                Scheme::Drpm => (Policy::Drpm(cfg.drpm), session.base_trace()),
+                Scheme::IDrpm => (Policy::IdealDrpm, session.base_trace()),
+                Scheme::CmTpm => (directive.clone(), &session.instrumented(CmMode::Tpm).trace),
+                Scheme::CmDrpm => (directive.clone(), &session.instrumented(CmMode::Drpm).trace),
+            };
+            let label = format!("{} / {}", bench.name, scheme.label());
+            let slow = try_simulate(trace, &cfg.params, pool, &policy).unwrap();
+            let fast = try_simulate_runs(&compress(trace), &cfg.params, pool, &policy).unwrap();
+            assert_eq!(fast, slow, "{label}: reports must be identical");
+            assert_eq!(
+                fast.exec_secs.to_bits(),
+                slow.exec_secs.to_bits(),
+                "{label}: exec time must match bitwise"
+            );
+            assert_eq!(
+                fast.total_energy_j().to_bits(),
+                slow.total_energy_j().to_bits(),
+                "{label}: energy must match bitwise"
+            );
+        }
+    }
 }
 
 #[test]

@@ -16,8 +16,9 @@
 //!                action 0 = SpinDown, 1 = SpinUp, 2 = SetRpm(level)
 //! ```
 //!
-//! Version 2 stores run-compressed records ([`crate::run::REvent`]); the
-//! `count` field then counts *records*, and a fourth tag appears:
+//! Version 2 is the stored run-compressed format ([`crate::run::REvent`]
+//! records); the `count` field then counts *records*, and a fourth tag
+//! appears:
 //!
 //! ```text
 //!   3 = Run:  count u64 | nest u32 | first_iter u64 | iters_per_rep u64
@@ -26,12 +27,14 @@
 //!                        | flags u8 | nest u32 | iter u64)
 //! ```
 //!
-//! [`DecodeStream`] accepts both versions and always yields per-event
-//! output (runs are lowered incrementally), so legacy consumers read v2
-//! files unchanged; [`DecodeRunStream`] preserves the run structure.
+//! [`encode`]/[`decode`] (and the incremental [`StreamEncoder`] and
+//! [`DecodeStream`]) read and write version 1 only; a version 2 buffer
+//! passed to them is rejected with [`CodecError::RunFormat`].
+//! [`encode_runs`]/[`decode_runs`] write version 2 and read both (a
+//! version 1 buffer decodes as all-plain records).
 
 use crate::event::{AppEvent, IoRequest, PowerAction, ReqKind};
-use crate::run::{IoTemplate, REvent, Run, RunStream, RunTrace};
+use crate::run::{IoTemplate, REvent, Run, RunTrace};
 use crate::stream::{EventStream, DEFAULT_CHUNK_EVENTS};
 use crate::trace::Trace;
 use sdpm_disk::RpmLevel;
@@ -57,6 +60,9 @@ pub enum CodecError {
     BadRun(String),
     /// A run's `rotation` exceeds the format's u32 field.
     RotationOverflow(u64),
+    /// A run-compressed (version 2) buffer reached a per-event decoder;
+    /// it decodes with [`decode_runs`].
+    RunFormat,
 }
 
 impl std::fmt::Display for CodecError {
@@ -69,6 +75,9 @@ impl std::fmt::Display for CodecError {
             CodecError::BadRun(why) => write!(f, "invalid run record: {why}"),
             CodecError::RotationOverflow(r) => {
                 write!(f, "run rotation {r} exceeds the format's u32 field")
+            }
+            CodecError::RunFormat => {
+                write!(f, "run-compressed trace: decode it with decode_runs")
             }
         }
     }
@@ -89,6 +98,17 @@ fn wire_name_len(len: usize) -> u16 {
     u16::try_from(len).unwrap_or_else(|_| {
         panic!("trace name of {len} bytes exceeds the wire format's u16 length")
     })
+}
+
+/// Writes the common header of format `version`, with `count` records.
+fn write_header(buf: &mut Vec<u8>, version: u16, name: &str, pool_size: u32, count: u64) {
+    buf.extend_from_slice(MAGIC);
+    buf.extend_from_slice(&version.to_le_bytes());
+    buf.extend_from_slice(&pool_size.to_le_bytes());
+    let name = name.as_bytes();
+    buf.extend_from_slice(&wire_name_len(name.len()).to_le_bytes());
+    buf.extend_from_slice(name);
+    buf.extend_from_slice(&count.to_le_bytes());
 }
 
 /// Serializes one event into `buf`.
@@ -151,14 +171,8 @@ impl StreamEncoder {
     #[must_use]
     pub fn new(name: &str, pool_size: u32) -> Self {
         let mut buf = Vec::with_capacity(64);
-        buf.extend_from_slice(MAGIC);
-        buf.extend_from_slice(&VERSION.to_le_bytes());
-        buf.extend_from_slice(&pool_size.to_le_bytes());
-        let name = name.as_bytes();
-        buf.extend_from_slice(&wire_name_len(name.len()).to_le_bytes());
-        buf.extend_from_slice(name);
-        let count_pos = buf.len();
-        buf.extend_from_slice(&0u64.to_le_bytes()); // backpatched by finish
+        write_header(&mut buf, VERSION, name, pool_size, 0); // count backpatched by finish
+        let count_pos = buf.len() - 8;
         StreamEncoder {
             buf,
             count_pos,
@@ -296,17 +310,6 @@ fn write_run(buf: &mut Vec<u8>, run: &Run) -> Result<(), CodecError> {
     Ok(())
 }
 
-/// Serializes one run-compressed record.
-fn write_revent(buf: &mut Vec<u8>, re: &REvent) -> Result<(), CodecError> {
-    match re {
-        REvent::Event(e) => {
-            write_event(buf, e);
-            Ok(())
-        }
-        REvent::Run(r) => write_run(buf, r),
-    }
-}
-
 /// Deserializes one event record.
 fn read_event(r: &mut Reader<'_>) -> Result<AppEvent, CodecError> {
     let tag = r.get_u8()?;
@@ -420,17 +423,15 @@ fn read_revent(r: &mut Reader<'_>) -> Result<REvent, CodecError> {
 }
 
 /// Parses the common header; returns the reader positioned at the first
-/// record plus `(version, pool_size, name, count)`.
-fn read_header<'a>(
-    buf: &'a [u8],
-    accept: &[u16],
-) -> Result<(Reader<'a>, u16, u32, String, u64), CodecError> {
+/// record plus `(version, pool_size, name, count)`. Versions other than
+/// 1 and 2 are a [`CodecError::BadHeader`].
+fn read_header(buf: &[u8]) -> Result<(Reader<'_>, u16, u32, String, u64), CodecError> {
     let mut r = Reader { buf };
     if r.take(4)? != MAGIC {
         return Err(CodecError::BadHeader);
     }
     let version = r.get_u16_le()?;
-    if !accept.contains(&version) {
+    if version != VERSION && version != VERSION_RUNS {
         return Err(CodecError::BadHeader);
     }
     let pool_size = r.get_u32_le()?;
@@ -440,14 +441,10 @@ fn read_header<'a>(
     Ok((r, version, pool_size, name, count))
 }
 
-/// Incremental decoder over an encoded byte buffer: the header is parsed
-/// up front, events are decoded one chunk at a time, so only one chunk
-/// of events is resident regardless of trace length.
-///
-/// Accepts both format versions and always yields *per-event* output: a
-/// v2 run record is lowered incrementally (a long run spans as many
-/// chunks as needed), so every legacy consumer reads run-compressed
-/// files unchanged.
+/// Incremental decoder over a version 1 byte buffer: the header is
+/// parsed up front, events are decoded one chunk at a time, so only one
+/// chunk of events is resident regardless of trace length. A version 2
+/// (run-compressed) buffer is rejected with [`CodecError::RunFormat`].
 ///
 /// Corruption surfaces from [`DecodeStream::try_next_chunk`] as a
 /// [`CodecError`]; the infallible [`EventStream`] view panics instead,
@@ -455,12 +452,9 @@ fn read_header<'a>(
 /// through the fallible method.
 pub struct DecodeStream<'a> {
     r: Reader<'a>,
-    version: u16,
     name: String,
     pool_size: u32,
     remaining: u64,
-    /// A v2 run mid-lowering: the run plus the next `(rep, sub)` to emit.
-    pending: Option<(Run, u64, u64)>,
     buf: Vec<AppEvent>,
     chunk: usize,
 }
@@ -478,89 +472,43 @@ impl<'a> DecodeStream<'a> {
     /// If `chunk` is zero.
     pub fn chunked(buf: &'a [u8], chunk: usize) -> Result<Self, CodecError> {
         assert!(chunk > 0, "chunk size must be positive");
-        let (r, version, pool_size, name, remaining) = read_header(buf, &[VERSION, VERSION_RUNS])?;
+        let (r, version, pool_size, name, remaining) = read_header(buf)?;
+        if version != VERSION {
+            return Err(CodecError::RunFormat);
+        }
         Ok(DecodeStream {
             r,
-            version,
             name,
             pool_size,
             remaining,
-            pending: None,
             buf: Vec::new(),
             chunk,
         })
     }
 
-    /// Records not yet decoded (per the header's count). In a v1 file
-    /// records are events; in a v2 file a record may lower to many
-    /// events.
+    /// Events not yet decoded (per the header's count).
     #[must_use]
     pub fn remaining(&self) -> u64 {
         self.remaining
     }
 
     /// Decodes the next chunk, or returns `Ok(None)` when the header's
-    /// record count has been fully delivered.
+    /// event count has been fully delivered.
     pub fn try_next_chunk(&mut self) -> Result<Option<&[AppEvent]>, CodecError> {
+        if self.remaining == 0 {
+            return Ok(None);
+        }
+        let n = usize::try_from(self.remaining)
+            .unwrap_or(usize::MAX)
+            .min(self.chunk);
         self.buf.clear();
-        if self.version == VERSION {
-            if self.remaining == 0 {
-                return Ok(None);
-            }
-            let n = usize::try_from(self.remaining)
-                .unwrap_or(usize::MAX)
-                .min(self.chunk);
-            self.buf.reserve(n);
-            for _ in 0..n {
-                self.buf.push(read_event(&mut self.r)?);
-            }
-            self.remaining -= n as u64;
-            crate::prof::add("decode.events", self.buf.len() as u64);
-            return Ok(Some(&self.buf));
+        self.buf.reserve(n);
+        for _ in 0..n {
+            self.buf.push(read_event(&mut self.r)?);
         }
-        let DecodeStream {
-            r,
-            remaining,
-            pending,
-            buf,
-            chunk,
-            ..
-        } = self;
-        while buf.len() < *chunk {
-            if let Some((run, rep, sub)) = pending {
-                let per = run.events_per_rep();
-                while *rep < run.count && buf.len() < *chunk {
-                    while *sub < per && buf.len() < *chunk {
-                        buf.push(run.event_at(*rep, *sub));
-                        *sub += 1;
-                    }
-                    if *sub == per {
-                        *sub = 0;
-                        *rep += 1;
-                    }
-                }
-                if *rep == run.count {
-                    *pending = None;
-                } else {
-                    break; // chunk full mid-run
-                }
-                continue;
-            }
-            if *remaining == 0 {
-                break;
-            }
-            *remaining -= 1;
-            match read_revent(r)? {
-                REvent::Event(e) => buf.push(e),
-                REvent::Run(run) => *pending = Some((run, 0, 0)),
-            }
-        }
-        if buf.is_empty() {
-            Ok(None)
-        } else {
-            crate::prof::add("decode.events", buf.len() as u64);
-            Ok(Some(buf))
-        }
+        self.remaining -= n as u64;
+        crate::prof::add("decode.events", self.buf.len() as u64);
+        Ok(Some(&self.buf))
     }
 }
 
@@ -585,7 +533,9 @@ impl EventStream for DecodeStream<'_> {
     }
 }
 
-/// Deserializes a trace previously produced by [`encode`].
+/// Deserializes a trace previously produced by [`encode`]. A version 2
+/// (run-compressed) buffer is a [`CodecError::RunFormat`]; read it with
+/// [`decode_runs`].
 pub fn decode(buf: &[u8]) -> Result<Trace, CodecError> {
     let _sp = crate::prof::span("trace.decode");
     crate::prof::add("decode.bytes", buf.len() as u64);
@@ -608,207 +558,56 @@ pub fn decode(buf: &[u8]) -> Result<Trace, CodecError> {
     })
 }
 
-/// Incremental run-compressed encoder (format version 2); the `count`
-/// field counts records, backpatched by [`RunStreamEncoder::finish`].
-pub struct RunStreamEncoder {
-    buf: Vec<u8>,
-    count_pos: usize,
-    count: u64,
-}
-
-impl RunStreamEncoder {
-    /// Starts a v2 encoding for a trace named `name` over `pool_size`
-    /// disks.
-    #[must_use]
-    pub fn new(name: &str, pool_size: u32) -> Self {
-        let mut buf = Vec::with_capacity(64);
-        buf.extend_from_slice(MAGIC);
-        buf.extend_from_slice(&VERSION_RUNS.to_le_bytes());
-        buf.extend_from_slice(&pool_size.to_le_bytes());
-        let name = name.as_bytes();
-        buf.extend_from_slice(&wire_name_len(name.len()).to_le_bytes());
-        buf.extend_from_slice(name);
-        let count_pos = buf.len();
-        buf.extend_from_slice(&0u64.to_le_bytes()); // backpatched by finish
-        RunStreamEncoder {
-            buf,
-            count_pos,
-            count: 0,
-        }
-    }
-
-    /// Appends one record. A rejected record (rotation overflow) leaves
-    /// the encoding unchanged, so the encoder stays usable.
-    ///
-    /// # Errors
-    /// [`CodecError::RotationOverflow`] when a run's rotation exceeds the
-    /// format's u32 field.
-    pub fn push(&mut self, re: &REvent) -> Result<(), CodecError> {
-        write_revent(&mut self.buf, re)?;
-        self.count += 1;
-        Ok(())
-    }
-
-    /// Appends a chunk of records.
-    ///
-    /// # Errors
-    /// As [`RunStreamEncoder::push`]; records before the offending one
-    /// stay encoded.
-    pub fn extend(&mut self, records: &[REvent]) -> Result<(), CodecError> {
-        for re in records {
-            self.push(re)?;
-        }
-        Ok(())
-    }
-
-    /// Records encoded so far.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Finishes the encoding: backpatches the record count and returns
-    /// the complete byte stream.
-    #[must_use]
-    pub fn finish(mut self) -> Vec<u8> {
-        self.buf[self.count_pos..self.count_pos + 8].copy_from_slice(&self.count.to_le_bytes());
-        crate::prof::add("encode.records", self.count);
-        crate::prof::add("encode.bytes", self.buf.len() as u64);
-        self.buf
-    }
-}
-
-/// Serializes a run-compressed trace into the v2 binary format.
+/// Serializes a run-compressed trace into the version 2 format.
 ///
 /// # Errors
 /// [`CodecError::RotationOverflow`] when a (necessarily hand-built) run
 /// record's rotation exceeds the format's u32 field.
 pub fn encode_runs(trace: &RunTrace) -> Result<Vec<u8>, CodecError> {
-    let mut enc = RunStreamEncoder::new(&trace.name, trace.pool_size);
-    enc.extend(&trace.events)?;
-    Ok(enc.finish())
-}
-
-/// Drains a run stream through a [`RunStreamEncoder`]; byte-identical to
-/// `encode_runs(&collect_runs(stream))` without materializing the trace.
-///
-/// # Errors
-/// As [`encode_runs`].
-pub fn encode_run_stream(stream: &mut dyn RunStream) -> Result<Vec<u8>, CodecError> {
-    let mut enc = RunStreamEncoder::new(stream.name(), stream.pool_size());
-    while let Some(chunk) = stream.next_chunk() {
-        enc.extend(chunk)?;
-    }
-    Ok(enc.finish())
-}
-
-/// Incremental run-preserving decoder: like [`DecodeStream`] but yields
-/// the run-compressed records themselves. A v1 file decodes as all-plain
-/// records.
-pub struct DecodeRunStream<'a> {
-    r: Reader<'a>,
-    version: u16,
-    name: String,
-    pool_size: u32,
-    remaining: u64,
-    buf: Vec<REvent>,
-    chunk: usize,
-}
-
-impl<'a> DecodeRunStream<'a> {
-    /// Parses the header (either version) and positions the stream at
-    /// the first record.
-    pub fn new(buf: &'a [u8]) -> Result<Self, CodecError> {
-        Self::chunked(buf, DEFAULT_CHUNK_EVENTS)
-    }
-
-    /// Like [`DecodeRunStream::new`] with an explicit chunk size.
-    ///
-    /// # Panics
-    /// If `chunk` is zero.
-    pub fn chunked(buf: &'a [u8], chunk: usize) -> Result<Self, CodecError> {
-        assert!(chunk > 0, "chunk size must be positive");
-        let (r, version, pool_size, name, remaining) = read_header(buf, &[VERSION, VERSION_RUNS])?;
-        Ok(DecodeRunStream {
-            r,
-            version,
-            name,
-            pool_size,
-            remaining,
-            buf: Vec::new(),
-            chunk,
-        })
-    }
-
-    /// Records not yet decoded (per the header's count).
-    #[must_use]
-    pub fn remaining(&self) -> u64 {
-        self.remaining
-    }
-
-    /// Decodes the next chunk of records, or returns `Ok(None)` when the
-    /// header's record count has been fully delivered.
-    pub fn try_next_chunk(&mut self) -> Result<Option<&[REvent]>, CodecError> {
-        if self.remaining == 0 {
-            return Ok(None);
+    let mut buf = Vec::with_capacity(64);
+    write_header(
+        &mut buf,
+        VERSION_RUNS,
+        &trace.name,
+        trace.pool_size,
+        trace.events.len() as u64,
+    );
+    for re in &trace.events {
+        match re {
+            REvent::Event(e) => write_event(&mut buf, e),
+            REvent::Run(r) => write_run(&mut buf, r)?,
         }
-        let n = usize::try_from(self.remaining)
-            .unwrap_or(usize::MAX)
-            .min(self.chunk);
-        self.buf.clear();
-        for _ in 0..n {
-            let re = if self.version == VERSION {
-                REvent::Event(read_event(&mut self.r)?)
-            } else {
-                read_revent(&mut self.r)?
-            };
-            self.buf.push(re);
-        }
-        self.remaining -= n as u64;
-        crate::prof::add("decode.records", self.buf.len() as u64);
-        Ok(Some(&self.buf))
     }
-}
-
-impl RunStream for DecodeRunStream<'_> {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn pool_size(&self) -> u32 {
-        self.pool_size
-    }
-
-    /// # Panics
-    /// On a corrupt byte stream — use
-    /// [`DecodeRunStream::try_next_chunk`] when corruption must be
-    /// handled rather than aborted on.
-    fn next_chunk(&mut self) -> Option<&[REvent]> {
-        DecodeRunStream::try_next_chunk(self)
-            .unwrap_or_else(|e| panic!("corrupt run trace stream: {e}"))
-    }
-
-    fn try_next_chunk(&mut self) -> Result<Option<&[REvent]>, CodecError> {
-        DecodeRunStream::try_next_chunk(self)
-    }
+    crate::prof::add("encode.records", trace.events.len() as u64);
+    crate::prof::add("encode.bytes", buf.len() as u64);
+    Ok(buf)
 }
 
 /// Deserializes a run-compressed trace previously produced by
-/// [`encode_runs`] (or a v1 file, which decodes as all-plain records).
+/// [`encode_runs`] (or a version 1 buffer, which decodes as all-plain
+/// records).
 pub fn decode_runs(buf: &[u8]) -> Result<RunTrace, CodecError> {
     let _sp = crate::prof::span("trace.decode");
     crate::prof::add("decode.bytes", buf.len() as u64);
-    let mut s = DecodeRunStream::new(buf)?;
-    let cap = usize::try_from(s.remaining())
+    let (mut r, version, pool_size, name, count) = read_header(buf)?;
+    // Every record takes at least 7 bytes, so cap the reservation by the
+    // buffer: a corrupted count cannot drive an allocation failure
+    // before the Truncated error surfaces.
+    let cap = usize::try_from(count)
         .unwrap_or(usize::MAX)
         .min(buf.len() / 7 + 1);
     let mut events = Vec::with_capacity(cap);
-    while let Some(chunk) = s.try_next_chunk()? {
-        events.extend_from_slice(chunk);
+    for _ in 0..count {
+        events.push(if version == VERSION {
+            REvent::Event(read_event(&mut r)?)
+        } else {
+            read_revent(&mut r)?
+        });
     }
+    crate::prof::add("decode.records", events.len() as u64);
     Ok(RunTrace {
-        name: s.name,
-        pool_size: s.pool_size,
+        name,
+        pool_size,
         events,
     })
 }
@@ -945,15 +744,13 @@ mod tests {
     }
 
     #[test]
-    fn v2_decodes_to_per_event_stream_for_legacy_consumers() {
-        let rt = sample_runs();
-        let bytes = encode_runs(&rt).unwrap();
-        // Tiny chunks so runs lower across chunk boundaries.
-        let mut s = DecodeStream::chunked(&bytes, 3).unwrap();
-        let lowered = crate::stream::collect(&mut s);
-        assert_eq!(lowered, rt.lower());
-        // decode() sees the same per-event trace.
-        assert_eq!(decode(&bytes).unwrap(), rt.lower());
+    fn v2_buffer_is_a_typed_error_for_the_per_event_decoder() {
+        let bytes = encode_runs(&sample_runs()).unwrap();
+        assert_eq!(decode(&bytes), Err(CodecError::RunFormat));
+        assert!(matches!(
+            DecodeStream::new(&bytes),
+            Err(CodecError::RunFormat)
+        ));
     }
 
     #[test]
@@ -1030,34 +827,13 @@ mod tests {
         let rt = RunTrace {
             name: "overflow".into(),
             pool_size: 1,
-            events: vec![REvent::Run(run.clone())],
+            events: vec![REvent::Run(run)],
         };
         assert_eq!(
             encode_runs(&rt),
             Err(CodecError::RotationOverflow(big)),
             "encode_runs must reject, not panic"
         );
-        let mut enc = RunStreamEncoder::new("overflow", 1);
-        let before = enc.count();
-        assert!(enc.push(&REvent::Run(run)).is_err());
-        assert_eq!(enc.count(), before, "rejected record must not count");
-        // The encoder stays usable after a rejected record.
-        enc.push(&REvent::Event(AppEvent::Compute {
-            nest: 0,
-            first_iter: 0,
-            iters: 1,
-            secs: 0.5,
-        }))
-        .unwrap();
-        let bytes = enc.finish();
-        assert_eq!(decode_runs(&bytes).unwrap().events.len(), 1);
-    }
-
-    #[test]
-    fn run_stream_encoder_matches_materialized_encoding() {
-        let rt = sample_runs();
-        let via_stream = encode_run_stream(&mut rt.stream()).unwrap();
-        assert_eq!(via_stream, encode_runs(&rt).unwrap());
     }
 }
 

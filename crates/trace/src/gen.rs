@@ -17,7 +17,6 @@
 //! checked against, byte for byte.
 
 use crate::event::{AppEvent, IoRequest, ReqKind};
-use crate::run::{CompressStream, RunSource, RunStream};
 use crate::rungen::RunGenStream;
 use crate::stream::{collect, EventSource, EventStream, DEFAULT_CHUNK_EVENTS};
 use crate::trace::Trace;
@@ -292,9 +291,7 @@ impl EventStream for WalkStream<'_> {
 /// A re-openable generator source for `(program, pool, config)`. Each
 /// open restarts generation from iteration zero, which is what lets the
 /// simulator's oracle policies run the workload twice without ever
-/// materializing it. Serves both interfaces: as an [`EventSource`] it
-/// streams per-event output; as a [`RunSource`] it run-compresses that
-/// output on the fly, which is what the O(#runs) simulator consumes.
+/// materializing it.
 pub struct GenSource<'a> {
     program: &'a Program,
     pool: DiskPool,
@@ -322,16 +319,6 @@ impl<'a> GenSource<'a> {
 impl EventSource for GenSource<'_> {
     fn open(&self) -> Box<dyn EventStream + '_> {
         Box::new(RunGenStream::new(self.program, self.pool, self.config))
-    }
-}
-
-impl RunSource for GenSource<'_> {
-    fn open_runs(&self) -> Box<dyn RunStream + '_> {
-        Box::new(CompressStream::new(RunGenStream::new(
-            self.program,
-            self.pool,
-            self.config,
-        )))
     }
 }
 

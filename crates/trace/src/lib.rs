@@ -16,6 +16,8 @@
 //!   form, miss to miss, and a per-iteration walk is kept as its oracle,
 //! * [`codec`] — a compact binary encoding for storing/replaying traces,
 //!   with incremental [`StreamEncoder`]/[`DecodeStream`] endpoints,
+//! * [`run`] — the run-compressed stored-trace form ([`RunTrace`],
+//!   [`compress`]), which the codec stores as its version 2 format,
 //! * [`stream`] — pull-based chunked [`EventStream`]s over all of the
 //!   above, plus the per-disk demultiplexer ([`demux`]).
 //!
@@ -51,15 +53,12 @@ pub mod rungen;
 pub mod stream;
 pub mod trace;
 
-pub use codec::{DecodeRunStream, DecodeStream, RunStreamEncoder, StreamEncoder};
+pub use codec::{DecodeStream, StreamEncoder};
 pub use event::{AppEvent, IoRequest, PowerAction, ReqKind};
 pub use gen::{generate, generate_walk, GenSource, TraceGenConfig};
 pub use mix::{merge_tenants, tenant_timeline, TenantEvent, TenantStream};
-pub use run::{
-    collect_runs, compress, compress_stream, CompressStream, IoTemplate, LowerStream, REvent, Run,
-    RunSource, RunStream, RunTrace, RunTraceStream, MAX_ROTATION,
-};
-pub use rungen::{generate_runs, RunGenStream};
+pub use run::{compress, IoTemplate, REvent, Run, RunTrace, MAX_ROTATION};
+pub use rungen::RunGenStream;
 pub use stream::{
     collect, demux, Demuxed, EventSource, EventStream, TimedEvent, TraceStream,
     DEFAULT_CHUNK_EVENTS,

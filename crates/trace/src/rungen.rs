@@ -39,7 +39,6 @@
 
 use crate::event::{AppEvent, ReqKind};
 use crate::gen::{emit_chunk_fetch, flush_compute, linrefs_of, TraceGenConfig};
-use crate::run::{collect_runs, CompressStream, RunTrace};
 use crate::stream::{EventStream, DEFAULT_CHUNK_EVENTS};
 use crate::trace::Trace;
 use sdpm_ir::{segmented_forms, Program};
@@ -439,26 +438,12 @@ impl EventStream for RunGenStream<'_> {
     }
 }
 
-/// Generates the run-compressed trace of `program` against `pool`;
-/// lowering it reproduces [`crate::gen::generate`]'s trace byte for
-/// byte.
-///
-/// # Panics
-/// If the program fails [`Program::validate`] or the chunk size is zero.
-#[must_use]
-pub fn generate_runs(program: &Program, pool: DiskPool, config: TraceGenConfig) -> RunTrace {
-    let _sp = crate::prof::span("trace.gen.analytic");
-    collect_runs(&mut CompressStream::new(RunGenStream::new(
-        program, pool, config,
-    )))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gen::{generate, generate_walk, GenSource};
-    use crate::run::{collect_runs, RunSource};
-    use crate::stream::{collect, EventSource};
+    use crate::gen::{generate, generate_walk};
+    use crate::run::compress;
+    use crate::stream::collect;
     use sdpm_ir::{AffineExpr, ArrayRef, LoopDim, LoopNest, Statement};
     use sdpm_layout::{ArrayFile, DiskId, StorageOrder, Striping};
 
@@ -489,7 +474,7 @@ mod tests {
         assert!(!walked.events.is_empty());
         assert_eq!(collect(&mut RunGenStream::new(p, pool, config)), walked);
         assert_eq!(generate(p, pool, config), walked);
-        assert_eq!(generate_runs(p, pool, config).lower(), walked);
+        assert_eq!(compress(&walked).lower(), walked);
     }
 
     #[test]
@@ -664,30 +649,5 @@ mod tests {
             clock_hz: Program::PAPER_CLOCK_HZ,
         };
         assert_analytic_matches_walk(&p, DiskPool::new(4), cfg(8 * 1024, true));
-    }
-
-    #[test]
-    fn rungen_source_reopens_and_serves_both_interfaces() {
-        let p = Program {
-            name: "scan".into(),
-            arrays: vec![file("A", vec![8192], 0)],
-            nests: vec![LoopNest {
-                label: "n".into(),
-                loops: vec![LoopDim::simple(8192)],
-                stmts: vec![Statement {
-                    label: "S".into(),
-                    refs: vec![ArrayRef::read(0, vec![AffineExpr::var(1, 0)])],
-                }],
-                cycles_per_iter: 750.0,
-            }],
-            clock_hz: Program::PAPER_CLOCK_HZ,
-        };
-        let pool = DiskPool::new(4);
-        let config = cfg(8 * 1024, false);
-        let src = GenSource::new(&p, pool, config);
-        let a = collect(&mut *EventSource::open(&src));
-        let b = collect_runs(&mut *src.open_runs());
-        assert_eq!(b.lower(), a);
-        assert_eq!(a, generate(&p, pool, config));
     }
 }

@@ -7,8 +7,7 @@ use sdpm_disk::RpmLevel;
 use sdpm_ir::{AffineExpr, ArrayRef, LoopDim, LoopNest, Program, Statement};
 use sdpm_layout::{ArrayFile, DiskId, DiskPool, StorageOrder, Striping};
 use sdpm_trace::codec::{
-    decode, decode_runs, encode, encode_runs, CodecError, DecodeRunStream, DecodeStream,
-    StreamEncoder,
+    decode, decode_runs, encode, encode_runs, CodecError, DecodeStream, StreamEncoder,
 };
 use sdpm_trace::{
     collect, compress, generate, AppEvent, IoRequest, PowerAction, REvent, ReqKind, TenantEvent,
@@ -287,12 +286,10 @@ proptest! {
     }
 
     /// The v2 codec round-trips run-compressed traces exactly, and the
-    /// per-event decoder lowers the same bytes back to the original
-    /// per-event sequence (legacy consumers read v2 unchanged).
+    /// decoded records lower back to the original per-event sequence.
     #[test]
     fn run_codec_round_trips(
         pool in 1u32..16,
-        chunk in 1usize..9,
         events in proptest::collection::vec((0usize..4, 0u32..1000), 0..60),
     ) {
         let mut evs = Vec::new();
@@ -309,10 +306,9 @@ proptest! {
         let t = Trace { name: "v2".into(), pool_size: pool, events: evs };
         let rt = compress(&t);
         let bytes = encode_runs(&rt).unwrap();
-        prop_assert_eq!(decode_runs(&bytes).unwrap(), rt);
-        // The event-level decoder lowers v2 incrementally.
-        let mut dec = DecodeStream::chunked(&bytes, chunk).unwrap();
-        prop_assert_eq!(collect(&mut dec), t);
+        let decoded = decode_runs(&bytes).unwrap();
+        prop_assert_eq!(&decoded, &rt);
+        prop_assert_eq!(decoded.lower(), t);
     }
 
     /// Cutting a v2 encoding anywhere short of its full length makes the
@@ -322,7 +318,6 @@ proptest! {
     fn run_codec_rejects_truncation_mid_chunk(
         n in 4u64..24,
         m in 1u64..5,
-        chunk in 1usize..5,
         cut_seed in 0usize..10_000,
     ) {
         let pool = 8u32;
@@ -344,19 +339,7 @@ proptest! {
         let bytes = encode_runs(&rt).unwrap();
         let cut = cut_seed % (bytes.len() - 1).max(1);
 
-        match DecodeRunStream::chunked(&bytes[..cut], chunk) {
-            Err(e) => prop_assert_eq!(e, CodecError::Truncated),
-            Ok(mut dec) => {
-                let err = loop {
-                    match dec.try_next_chunk() {
-                        Ok(Some(_)) => {}
-                        Ok(None) => panic!("truncated v2 stream decoded to completion"),
-                        Err(e) => break e,
-                    }
-                };
-                prop_assert_eq!(err, CodecError::Truncated);
-            }
-        }
+        prop_assert_eq!(decode_runs(&bytes[..cut]), Err(CodecError::Truncated));
     }
 
     /// Fuzz: arbitrary byte strings fed to every decoder entry point
@@ -370,9 +353,6 @@ proptest! {
         let _ = decode(&bytes);
         let _ = decode_runs(&bytes);
         if let Ok(mut dec) = DecodeStream::chunked(&bytes, chunk) {
-            while let Ok(Some(_)) = dec.try_next_chunk() {}
-        }
-        if let Ok(mut dec) = DecodeRunStream::chunked(&bytes, chunk) {
             while let Ok(Some(_)) = dec.try_next_chunk() {}
         }
     }
@@ -398,9 +378,6 @@ proptest! {
         let _ = decode(&bytes);
         let _ = decode_runs(&bytes);
         if let Ok(mut dec) = DecodeStream::chunked(&bytes, chunk) {
-            while let Ok(Some(_)) = dec.try_next_chunk() {}
-        }
-        if let Ok(mut dec) = DecodeRunStream::chunked(&bytes, chunk) {
             while let Ok(Some(_)) = dec.try_next_chunk() {}
         }
     }

@@ -55,7 +55,7 @@ pub use symbolic::{prove_all_schemes, prove_scheme, PlacementPolicy, ProverConfi
 
 use sdpm_disk::DiskParams;
 use sdpm_sim::SimReport;
-use sdpm_trace::{RunTrace, Trace};
+use sdpm_trace::Trace;
 
 /// One-call verification of a pipeline run: directive safety always,
 /// plus the replay cross-check when the simulator's report is supplied.
@@ -77,24 +77,4 @@ pub fn verify_run(
         diags.extend(crosscheck_report(trace, params, overhead_secs, r));
     }
     diags
-}
-
-/// [`verify_run`] over a run-compressed instrumented trace.
-///
-/// The run form is lowered through the exact per-event adapter
-/// ([`RunTrace::lower`]) before any checking, so every `SDPM-E001..E008`
-/// check sees the identical event sequence — and produces the identical
-/// diagnostics, spans included — as the per-event form it was compressed
-/// from. (Directives pass through compression raw, so no finding can hide
-/// inside a run record.)
-#[must_use]
-pub fn verify_run_compressed(
-    trace: &RunTrace,
-    params: &DiskParams,
-    overhead_secs: f64,
-    plan: Option<PlanRef<'_>>,
-    report: Option<&SimReport>,
-) -> Vec<Diagnostic> {
-    let _sp = crate::prof::span("verify.run_compressed");
-    verify_run(&trace.lower(), params, overhead_secs, plan, report)
 }

@@ -1,8 +1,7 @@
 //! Symbolic idle-gap bounds on the global iteration timeline.
 //!
 //! Nests execute back to back, so laying their iteration spaces end to
-//! end gives a single global axis (the same construction as
-//! `sdpm_core::NestOffsets`). A disk's symbolic windows become global
+//! end gives a single global axis. A disk's symbolic windows become global
 //! intervals on that axis; the complement — leading gap, inter-window
 //! gaps, trailing gap — is where the inserter may park the disk.
 //!

@@ -1,16 +1,16 @@
 //! Inspect the compiler's intermediate artifacts for the swim benchmark:
 //! the disk access pattern (DAP) in the paper's `<nest, iteration, state>`
-//! form, the per-disk idle gaps, and the power-management calls the
-//! instrumentation pass inserts.
+//! form, the power-management calls the instrumentation pass inserts,
+//! and the per-disk idle gaps it decided on.
 //!
 //! ```text
 //! cargo run --release --example compiler_pass_inspector
 //! ```
 
-use sdpm_core::{build_dap, disk_gaps, insert_directives, CmMode, NestOffsets, NoiseModel};
+use sdpm_core::{build_dap, insert_directives, CmMode, NoiseModel};
 use sdpm_disk::ultrastar36z15;
 use sdpm_ir::{disk_activity, render_nest};
-use sdpm_layout::DiskPool;
+use sdpm_layout::{DiskId, DiskPool};
 use sdpm_trace::{generate, AppEvent};
 use sdpm_workloads::swim;
 
@@ -42,29 +42,6 @@ fn main() {
                 sdpm_core::DapState::Active => "active",
                 sdpm_core::DapState::Idle => "idle",
             }
-        );
-    }
-
-    // --- Idle gaps on the global timeline --------------------------------
-    let offsets = NestOffsets::of(program);
-    let gaps = disk_gaps(&activity, &offsets);
-    let disk0 = &gaps[0];
-    println!(
-        "\ndisk 0 has {} idle gaps; the 3 longest (iterations):",
-        disk0.len()
-    );
-    let mut sorted = disk0.clone();
-    sorted.sort_by_key(|g| std::cmp::Reverse(g.len()));
-    for g in sorted.iter().take(3) {
-        let (ns, is_) = offsets.locate(g.start_g);
-        let (ne, ie) = offsets.locate(g.end_g.min(offsets.total - 1));
-        println!(
-            "  [{} it.{} .. {} it.{}]  {} iterations",
-            program.nests[ns].label,
-            is_,
-            program.nests[ne].label,
-            ie,
-            g.len()
         );
     }
 
@@ -110,4 +87,16 @@ fn main() {
         acted,
         100.0 * acted as f64 / out.decisions.len() as f64
     );
+
+    // --- The longest idle gaps the compiler estimated on disk 0 ----------
+    let mut disk0: Vec<_> = out
+        .decisions
+        .iter()
+        .filter(|d| d.disk == DiskId(0))
+        .collect();
+    disk0.sort_by(|a, b| b.estimated_secs.total_cmp(&a.estimated_secs));
+    println!("disk 0: {} gaps; the 3 longest (estimated):", disk0.len());
+    for d in disk0.iter().take(3) {
+        println!("  {:.3} s -> level {:?}", d.estimated_secs, d.level);
+    }
 }

@@ -6,8 +6,8 @@ use sdpm_disk::{ultrastar36z15, RpmLevel};
 use sdpm_fault::{FaultConfig, FaultPlan};
 use sdpm_layout::{DiskId, DiskPool};
 use sdpm_sim::{
-    simulate, try_simulate, try_simulate_runs, try_simulate_runs_faulted,
-    try_simulate_source_faulted, DirectiveConfig, Policy, SimError,
+    simulate, try_simulate, try_simulate_runs, try_simulate_source_faulted, DirectiveConfig,
+    Policy, SimError,
 };
 use sdpm_trace::codec::{decode, encode, CodecError};
 use sdpm_trace::{AppEvent, IoRequest, PowerAction, REvent, ReqKind, Run, RunTrace, Trace};
@@ -230,18 +230,12 @@ fn malformed_run_record_surfaces_typed_error_not_panic() {
     assert!(matches!(err, SimError::InvalidRun(_)), "got: {err}");
 }
 
-/// The one simulator driver behind both input forms: per event and run
-/// compressed agree on every report field, with faults off and under
-/// two seeded plans, for every single-trace policy on every kernel. The
-/// only field allowed to differ is the count of run records the
-/// run-compressed loop degraded to per-event servicing.
+/// The one simulator driver behind every input form: with no fault plan
+/// attached, the streamed path, the materialized trace and the stored
+/// run-compressed form agree on every report field, for every
+/// single-trace policy on every kernel.
 #[test]
 fn faults_disabled_is_bit_exact_across_data_paths() {
-    let plans = [
-        None,
-        Some(FaultPlan::new(FaultConfig::uniform(42, 0.01))),
-        Some(FaultPlan::new(FaultConfig::uniform(42, 0.1))),
-    ];
     sdpm_bench::parallel_map(&sdpm_bench::suite(), |bench| {
         let cfg = sdpm_bench::config_for(bench);
         let pool = DiskPool::new(cfg.disks);
@@ -260,32 +254,24 @@ fn faults_disabled_is_bit_exact_across_data_paths() {
             (Policy::IdealDrpm, &base),
             (directive, &instrumented),
         ] {
-            let runs = sdpm_trace::compress(trace);
-            for plan in &plans {
-                let what = format!("{} {} {:?}", bench.name, policy.label(), plan.is_some());
-                let streamed =
-                    try_simulate_source_faulted(trace, params, pool, &policy, plan.as_ref())
-                        .expect("streamed run succeeds");
-                let mut compressed =
-                    try_simulate_runs_faulted(&runs, params, pool, &policy, plan.as_ref())
-                        .expect("run-compressed run succeeds");
-                if plan.is_none() {
-                    assert_eq!(streamed, simulate(trace, params, pool, &policy), "{what}");
-                    assert_eq!(streamed.faults.total(), 0, "{what}");
-                }
-                compressed.faults.degraded_expansions = streamed.faults.degraded_expansions;
-                assert_eq!(streamed, compressed, "{what}: data paths drifted");
-                assert_eq!(
-                    streamed.total_energy_j().to_bits(),
-                    compressed.total_energy_j().to_bits(),
-                    "{what}"
-                );
-                assert_eq!(
-                    streamed.exec_secs.to_bits(),
-                    compressed.exec_secs.to_bits(),
-                    "{what}"
-                );
-            }
+            let what = format!("{} {}", bench.name, policy.label());
+            let streamed = try_simulate_source_faulted(trace, params, pool, &policy, None)
+                .expect("streamed run succeeds");
+            assert_eq!(streamed, simulate(trace, params, pool, &policy), "{what}");
+            assert_eq!(streamed.faults.total(), 0, "{what}");
+            let compressed = try_simulate_runs(&sdpm_trace::compress(trace), params, pool, &policy)
+                .expect("run-compressed run succeeds");
+            assert_eq!(streamed, compressed, "{what}: data paths drifted");
+            assert_eq!(
+                streamed.total_energy_j().to_bits(),
+                compressed.total_energy_j().to_bits(),
+                "{what}"
+            );
+            assert_eq!(
+                streamed.exec_secs.to_bits(),
+                compressed.exec_secs.to_bits(),
+                "{what}"
+            );
         }
     });
 }
@@ -322,24 +308,6 @@ fn injected_faults_degrade_gracefully_and_deterministically() {
             );
         }
     }
-}
-
-#[test]
-fn faulted_run_compressed_path_degrades_to_per_event_servicing() {
-    let bench = sdpm_workloads::swim();
-    let cfg = sdpm_bench::config_for(&bench);
-    let pool = DiskPool::new(cfg.disks);
-    let params = cfg.params;
-    let trace = sdpm_trace::generate(&bench.program, pool, bench.gen);
-    let runs = sdpm_trace::compress(&trace);
-    let plan = FaultPlan::new(FaultConfig::uniform(9, 0.1));
-    let r = try_simulate_runs_faulted(&runs, &params, pool, &Policy::Base, Some(&plan))
-        .expect("faulted run-compressed run must complete");
-    assert!(
-        r.faults.degraded_expansions > 0,
-        "fault plan must force run records off the steady fast path"
-    );
-    assert!(r.faults.total() > 0);
 }
 
 #[test]

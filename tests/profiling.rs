@@ -54,12 +54,11 @@ fn profile_covers_every_pipeline_stage() {
     for path in [
         "profile.per_event/session.generate/trace.gen",
         "profile.per_event/session.simulate/sim.simulate",
-        "profile.run_compressed/session.simulate_runs/session.generate_runs/trace.gen.analytic",
-        "profile.run_compressed/session.simulate_runs/sim.simulate_runs",
         "profile.codec/trace.compress",
         "profile.codec/trace.encode",
         "profile.codec/trace.decode",
         "profile.codec/sim.simulate",
+        "profile.codec/sim.simulate_runs",
         "profile.verify/verify.run",
         "profile.oracle/trace.gen.walk",
     ] {
